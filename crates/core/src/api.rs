@@ -6,6 +6,7 @@
 //! their [`RangeSpec`] once and answer with the native closed-interval
 //! query, and batches run through the shared serial phase-two helper (a
 //! single tree has one root queue — there is nothing to fan out over).
+//! Every routing policy shares these impls.
 
 use wft_api::{
     apply_batch_point, BatchApply, BatchError, ChunkRead, FrontScanCursor, OpOutcome, PointMap,
@@ -13,9 +14,12 @@ use wft_api::{
 };
 use wft_seq::{Augmentation, Key, Value};
 
+use crate::routing::Routing;
 use crate::tree::WaitFreeTree;
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> PointMap<K, V> for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> PointMap<K, V>
+    for WaitFreeTree<K, V, A, R>
+{
     fn insert(&self, key: K, value: V) -> UpdateOutcome<V> {
         let (op, _ts) = self.run_operation(crate::OpKind::Insert { key, value });
         let decision = op.resolved_decision();
@@ -61,7 +65,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> PointMap<K, V> for WaitFreeTree<K,
     }
 }
 
-impl<K: RangeKey, V: Value, A: Augmentation<K, V>> RangeRead<K, V> for WaitFreeTree<K, V, A> {
+impl<K: RangeKey, V: Value, A: Augmentation<K, V>, R: Routing<K>> RangeRead<K, V>
+    for WaitFreeTree<K, V, A, R>
+{
     type Agg = A::Agg;
 
     fn range_agg(&self, range: RangeSpec<K>) -> A::Agg {
@@ -90,7 +96,9 @@ impl<K: RangeKey, V: Value, A: Augmentation<K, V>> RangeRead<K, V> for WaitFreeT
 /// `O(log N + limit)` per chunk on the fast path (early exit after `limit`
 /// leaves, counted in [`crate::TreeStats::fast_range_early_exits`]), with
 /// the descriptor fallback preserved.
-impl<K: RangeKey, V: Value, A: Augmentation<K, V>> ChunkRead<K, V> for WaitFreeTree<K, V, A> {
+impl<K: RangeKey, V: Value, A: Augmentation<K, V>, R: Routing<K>> ChunkRead<K, V>
+    for WaitFreeTree<K, V, A, R>
+{
     fn collect_chunk(&self, min: K, max: K, limit: usize) -> Vec<(K, V)> {
         WaitFreeTree::collect_range_limited(self, min, max, limit)
     }
@@ -99,7 +107,9 @@ impl<K: RangeKey, V: Value, A: Augmentation<K, V>> ChunkRead<K, V> for WaitFreeT
 /// Streaming scans: the tree's cursor is the shared front-sandwiched
 /// [`FrontScanCursor`] over the chunk primitive above — the scan logic
 /// lives once in `wft-api`, this impl only hands the cursor out.
-impl<K: RangeKey, V: Value, A: Augmentation<K, V>> RangeScan<K, V> for WaitFreeTree<K, V, A> {
+impl<K: RangeKey, V: Value, A: Augmentation<K, V>, R: Routing<K>> RangeScan<K, V>
+    for WaitFreeTree<K, V, A, R>
+{
     type Cursor<'a>
         = FrontScanCursor<'a, Self, K, V>
     where
@@ -110,7 +120,9 @@ impl<K: RangeKey, V: Value, A: Augmentation<K, V>> RangeScan<K, V> for WaitFreeT
     }
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> BatchApply<K, V> for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> BatchApply<K, V>
+    for WaitFreeTree<K, V, A, R>
+{
     fn apply_batch(&self, batch: Vec<StoreOp<K, V>>) -> Result<Vec<OpOutcome<V>>, BatchError<K>> {
         apply_batch_point(self, batch)
     }
@@ -119,14 +131,19 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> BatchApply<K, V> for WaitFreeTree<
 /// Opts into the blanket `SnapshotRead`: plain reads here are
 /// validation-free linearizable queries, so the blanket's sandwich is the
 /// single validation layer.
-impl<K: Key, V: Value, A: Augmentation<K, V>> wft_api::FrontSnapshot for WaitFreeTree<K, V, A> {}
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> wft_api::FrontSnapshot
+    for WaitFreeTree<K, V, A, R>
+{
+}
 
 /// The tree's snapshot front is its root-queue timestamp front: the
 /// watermarks maintained at update resolution (see
 /// [`WaitFreeTree::stable_ts`]). With this impl in place the blanket
 /// [`wft_api::SnapshotRead`] applies: the tree supports consistent
 /// multi-range reads against one acquired front.
-impl<K: Key, V: Value, A: Augmentation<K, V>> TimestampFront for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> TimestampFront
+    for WaitFreeTree<K, V, A, R>
+{
     fn settle_front(&self) -> u64 {
         WaitFreeTree::settle_front(self).get()
     }
@@ -141,14 +158,17 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> TimestampFront for WaitFreeTree<K,
 }
 
 /// Mirrors the tree's operational counters ([`WaitFreeTree::stats`]) plus
-/// its size into the `wft-obs` metrics vocabulary under the `tree_` prefix.
-/// The `TreeCounters` atomics stay the single source of truth — this impl
+/// its size into the `wft-obs` metrics vocabulary under the routing
+/// policy's prefix (`tree_` for the BST, `trie_` for bit routing). The
+/// `TreeCounters` atomics stay the single source of truth — this impl
 /// reads the same cells the legacy `stats()` API reads, so the two views
 /// can never drift.
-impl<K: Key, V: Value, A: Augmentation<K, V>> wft_obs::MetricsSource for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> wft_obs::MetricsSource
+    for WaitFreeTree<K, V, A, R>
+{
     fn collect_metrics(&self, out: &mut wft_obs::MetricsSnapshot) {
-        self.stats().collect_into("tree", out);
-        out.push_gauge("tree_len", self.len() as i64);
+        self.stats().collect_into(R::METRICS_PREFIX, out);
+        out.push_gauge(format!("{}_len", R::METRICS_PREFIX), self.len() as i64);
     }
 }
 

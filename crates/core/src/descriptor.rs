@@ -9,8 +9,9 @@
 //! * the write-once [`Decision`] resolved at the linearization point for
 //!   updates,
 //! * the `Processed` first-write-wins map of per-node partial results,
-//! * the per-node [`RangeMode`] map telling helpers which border of a range
-//!   query applies at a node,
+//! * the routing policy's per-node mode record (the [`RangeMode`] map
+//!   telling helpers which border of a range query applies at a node, for
+//!   the [`Bst`]),
 //! * the `Traverse` queue of nodes the initiator still has to visit.
 //!
 //! Descriptors are reference-counted (`Arc`); queues hold clones of the
@@ -24,9 +25,10 @@ use wft_queue::{Decision, FirstWriteMap, TraverseQueue};
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::node::{NodeId, NodePtr};
+use crate::routing::{Bst, Routing};
 
 /// Shared handle to a descriptor.
-pub type OpRef<K, V, A> = Arc<Descriptor<K, V, A>>;
+pub type OpRef<K, V, A, R = Bst> = Arc<Descriptor<K, V, A, R>>;
 
 /// The operation a descriptor performs.
 #[derive(Debug, Clone)]
@@ -161,7 +163,7 @@ pub enum Partial<K, V, Agg> {
 }
 
 /// The shared operation descriptor.
-pub struct Descriptor<K: Key, V: Value, A: Augmentation<K, V>> {
+pub struct Descriptor<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K> = Bst> {
     /// The operation to perform.
     pub kind: OpKind<K, V>,
     /// Effect of an update, resolved exactly once at the linearization point
@@ -169,14 +171,15 @@ pub struct Descriptor<K: Key, V: Value, A: Augmentation<K, V>> {
     pub decision: OnceLock<Decision<V>>,
     /// `Op.Processed`: per-node partial results, first write wins.
     pub processed: FirstWriteMap<NodeId, Partial<K, V, A::Agg>>,
-    /// Range-query mode per node, recorded before the descriptor enters the
-    /// node's queue.
-    pub modes: FirstWriteMap<NodeId, RangeMode<K>>,
+    /// Range-aggregate mode per node, recorded by the routing policy before
+    /// the descriptor enters the node's queue (nothing for a policy that
+    /// derives modes from the node itself).
+    pub modes: R::Modes,
     /// `Op.Traverse`: nodes the initiator still has to visit.
-    pub traverse: TraverseQueue<NodePtr<K, V, A>>,
+    pub traverse: TraverseQueue<NodePtr<K, V, A, R>>,
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> Descriptor<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Descriptor<K, V, A, R> {
     /// Creates a fresh descriptor for `kind`.
     pub fn new(kind: OpKind<K, V>) -> Self {
         // Scalar operations and aggregate range queries record `O(height +
@@ -191,13 +194,13 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> Descriptor<K, V, A> {
             kind,
             decision: OnceLock::new(),
             processed,
-            modes: FirstWriteMap::new(),
+            modes: R::Modes::default(),
             traverse: TraverseQueue::new(),
         }
     }
 
     /// Creates a reference-counted descriptor.
-    pub fn new_ref(kind: OpKind<K, V>) -> OpRef<K, V, A> {
+    pub fn new_ref(kind: OpKind<K, V>) -> OpRef<K, V, A, R> {
         Arc::new(Self::new(kind))
     }
 

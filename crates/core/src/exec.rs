@@ -26,44 +26,52 @@
 //! * structural changes (leaf split / leaf removal / subtree replacement) are
 //!   plain pointer CASes whose expected value makes them exactly-once.
 
-use crossbeam_epoch::{Guard, Owned, Shared};
+use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
 use std::sync::atomic::Ordering::{AcqRel, Acquire};
 
 use wft_queue::{Timestamp, UpdateKind};
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::config::TreeCounters;
-use crate::descriptor::{Descriptor, OpKind, OpRef, Partial, RangeMode};
+use crate::descriptor::{Descriptor, OpKind, OpRef, Partial};
 use crate::node::{
-    build_subtree, collect_subtree, free_subtree_now, retire_subtree, InnerNode, LeafNode, Node,
+    collect_subtree, free_subtree_now, retire_subtree, EmptyNode, InnerNode, LeafNode, Node,
     NodePtr, NodeState, FICTIVE_ROOT_ID,
 };
+use crate::routing::{Routing, SlotAt, Step};
 use crate::tree::WaitFreeTree;
 
 /// The node an operation is currently being executed *in*: either the
 /// fictive root (which owns the root queue and the real-root child slot) or a
 /// regular inner node.
-pub(crate) enum ParentRef<'g, K: Key, V: Value, A: Augmentation<K, V>> {
+pub(crate) enum ParentRef<'g, K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> {
     /// The fictive root (§II-B): no state of its own, one child — the real
     /// root.
     Fictive,
     /// A regular inner node.
-    Inner(&'g InnerNode<K, V, A>),
+    Inner(&'g InnerNode<K, V, A, R>),
 }
 
 // Manual Clone/Copy: the derived impls would demand `K: Copy, V: Copy`
 // bounds, but the enum only holds a shared reference.
-impl<K: Key, V: Value, A: Augmentation<K, V>> Clone for ParentRef<'_, K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Clone for ParentRef<'_, K, V, A, R> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<K: Key, V: Value, A: Augmentation<K, V>> Copy for ParentRef<'_, K, V, A> {}
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Copy for ParentRef<'_, K, V, A, R> {}
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
+/// A child slot an operation continues into: where it hangs (for the
+/// policy's leaf-split builder) and the slot itself.
+struct Child<'g, K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> {
+    at: SlotAt<'g, R::Route>,
+    slot: &'g Atomic<Node<K, V, A, R>>,
+}
+
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> WaitFreeTree<K, V, A, R> {
     /// Runs one operation end to end and returns its descriptor (with every
     /// partial result recorded) plus its timestamp.
-    pub(crate) fn run_operation(&self, kind: OpKind<K, V>) -> (OpRef<K, V, A>, Timestamp) {
+    pub(crate) fn run_operation(&self, kind: OpKind<K, V>) -> (OpRef<K, V, A, R>, Timestamp) {
         // The guard is pinned before the descriptor becomes visible and held
         // until the operation completes; every node pointer the operation
         // touches (including entries of its traverse queue) stays valid under
@@ -97,7 +105,12 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
 
     /// `execute_until_timestamp` (Listing 1): execute every descriptor at the
     /// head of `parent`'s queue whose timestamp does not exceed `ts`.
-    pub(crate) fn help_until(&self, parent: ParentRef<'_, K, V, A>, ts: Timestamp, guard: &Guard) {
+    pub(crate) fn help_until(
+        &self,
+        parent: ParentRef<'_, K, V, A, R>,
+        ts: Timestamp,
+        guard: &Guard,
+    ) {
         loop {
             let head = match parent {
                 ParentRef::Fictive => self.root_queue.peek(guard),
@@ -122,9 +135,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// `parent`. Idempotent; safe to call from any number of helpers.
     pub(crate) fn execute_op_at(
         &self,
-        op: &OpRef<K, V, A>,
+        op: &OpRef<K, V, A, R>,
         ts: Timestamp,
-        parent: ParentRef<'_, K, V, A>,
+        parent: ParentRef<'_, K, V, A, R>,
         guard: &Guard,
     ) {
         // --- Step 0: resolve update effects at the linearization point. ----
@@ -133,11 +146,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         }
         // Below the fictive root the decision is always already resolved
         // (the descriptor only enters child queues afterwards).
-
-        let parent_id = match parent {
-            ParentRef::Fictive => FICTIVE_ROOT_ID,
-            ParentRef::Inner(inner) => inner.id,
-        };
 
         // --- Step 1: work out where the operation continues and what this
         //     node contributes to the result. -------------------------------
@@ -148,7 +156,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
             OpKind::Collect { .. } => Partial::Entries(Vec::new()),
         };
 
-        match parent {
+        let parent_id = match parent {
             ParentRef::Fictive => {
                 let descend = match &op.kind {
                     // A replace always succeeds, so this also always descends.
@@ -160,63 +168,86 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                 if descend {
                     let mode = match &op.kind {
                         OpKind::RangeAgg { min, max } | OpKind::Collect { min, max } => {
-                            Some(RangeMode::Both {
-                                min: *min,
-                                max: *max,
-                            })
+                            Some(R::root_mode(*min, *max))
                         }
                         _ => None,
                     };
-                    self.continue_into_child(op, ts, &self.root_child, mode, &mut partial, guard);
+                    let root = Child {
+                        at: None,
+                        slot: &self.root_child,
+                    };
+                    self.continue_into_child(op, ts, root, mode, &mut partial, guard);
                 }
+                FICTIVE_ROOT_ID
             }
-            ParentRef::Inner(inner) => match &op.kind {
-                OpKind::Insert { key, .. }
-                | OpKind::Replace { key, .. }
-                | OpKind::Remove { key }
-                | OpKind::Lookup { key } => {
-                    let slot = if key < &inner.rsm {
-                        &inner.left
-                    } else {
-                        &inner.right
-                    };
-                    self.continue_into_child(op, ts, slot, None, &mut partial, guard);
-                }
-                OpKind::RangeAgg { .. } => {
-                    let mode = op
-                        .modes
-                        .get(&inner.id)
-                        .expect("range mode recorded before the descriptor entered this queue");
-                    self.continue_range_agg(op, ts, inner, mode, &mut partial, guard);
-                }
-                OpKind::Collect { min, max } => {
-                    let mode = RangeMode::Both {
-                        min: *min,
-                        max: *max,
-                    };
-                    if min < &inner.rsm {
-                        self.continue_into_child(
-                            op,
-                            ts,
-                            &inner.left,
-                            Some(mode),
-                            &mut partial,
-                            guard,
-                        );
+            ParentRef::Inner(inner) => {
+                let child = |right| Child {
+                    at: Some((&inner.route, right)),
+                    slot: inner.child(right),
+                };
+                match &op.kind {
+                    OpKind::Insert { key, .. }
+                    | OpKind::Replace { key, .. }
+                    | OpKind::Remove { key }
+                    | OpKind::Lookup { key } => {
+                        let right = R::goes_right(&inner.route, key);
+                        self.continue_into_child(op, ts, child(right), None, &mut partial, guard);
                     }
-                    if max >= &inner.rsm {
-                        self.continue_into_child(
-                            op,
-                            ts,
-                            &inner.right,
-                            Some(mode),
-                            &mut partial,
-                            guard,
-                        );
+                    OpKind::RangeAgg { min, max } => {
+                        // The appendix's border modes (or whatever the policy
+                        // derives instead): fully covered children contribute
+                        // their stored aggregate instead of being descended.
+                        let mode = R::mode_at(&op.modes, inner.id);
+                        let steps = R::split(&inner.route, mode, min, max);
+                        for (right, step) in [false, true].into_iter().zip(steps) {
+                            match step {
+                                Step::Skip => {}
+                                Step::Absorb => {
+                                    // ORDERING: Acquire pairs with the AcqRel child-slot CASes, so
+                                    // the loaded subtree (and its state record) is initialised.
+                                    let sibling = inner.child(right).load(Acquire, guard);
+                                    // SAFETY: `sibling` was loaded from an epoch-protected slot
+                                    // under `guard`; nodes are retired only via `defer_destroy`.
+                                    let contribution =
+                                        unsafe { sibling.deref() }.current_agg(guard);
+                                    merge_agg::<K, V, A>(&mut partial, &contribution);
+                                }
+                                Step::Descend(mode) => self.continue_into_child(
+                                    op,
+                                    ts,
+                                    child(right),
+                                    Some(mode),
+                                    &mut partial,
+                                    guard,
+                                ),
+                            }
+                        }
+                    }
+                    OpKind::Collect { min, max } => {
+                        // A collect descends into every overlapping child.
+                        // It records its mode like an aggregate although no
+                        // helper reads it: on the BST the record makes a
+                        // wide collect slower, and without it tree-mix's
+                        // writers help twice as often (see ROADMAP).
+                        let mode = R::root_mode(*min, *max);
+                        let steps = R::split(&inner.route, mode, min, max);
+                        for (right, step) in [false, true].into_iter().zip(steps) {
+                            if !matches!(step, Step::Skip) {
+                                self.continue_into_child(
+                                    op,
+                                    ts,
+                                    child(right),
+                                    Some(mode),
+                                    &mut partial,
+                                    guard,
+                                );
+                            }
+                        }
                     }
                 }
-            },
-        }
+                inner.id
+            }
+        };
 
         // --- Step 2: record this node's partial result (unconditionally, to
         //     claim the node id against stalled helpers — §II-B). -----------
@@ -236,7 +267,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// Resolves the effect of an update descriptor through the presence
     /// index, exactly once, and maintains the tree's size, counters and the
     /// timestamp front.
-    fn resolve_update(&self, op: &OpRef<K, V, A>, ts: Timestamp, guard: &Guard) {
+    fn resolve_update(&self, op: &OpRef<K, V, A, R>, ts: Timestamp, guard: &Guard) {
         let (key, update) = match &op.kind {
             OpKind::Insert { key, value } => (key, UpdateKind::Insert(value.clone())),
             OpKind::Replace { key, value } => (key, UpdateKind::Replace(value.clone())),
@@ -297,140 +328,26 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
             .fetch_max(ts.get(), std::sync::atomic::Ordering::SeqCst);
     }
 
-    /// Range-aggregate continuation at an inner node: implements the
-    /// three-mode scheme of the appendix, adding the aggregates of fully
-    /// covered subtrees to the node's partial result instead of descending
-    /// into them.
-    fn continue_range_agg(
-        &self,
-        op: &OpRef<K, V, A>,
-        ts: Timestamp,
-        inner: &InnerNode<K, V, A>,
-        mode: RangeMode<K>,
-        partial: &mut Partial<K, V, A::Agg>,
-        guard: &Guard,
-    ) {
-        match mode {
-            RangeMode::Both { min, max } => {
-                if min >= inner.rsm {
-                    self.continue_into_child(
-                        op,
-                        ts,
-                        &inner.right,
-                        Some(RangeMode::Both { min, max }),
-                        partial,
-                        guard,
-                    );
-                } else if max < inner.rsm {
-                    self.continue_into_child(
-                        op,
-                        ts,
-                        &inner.left,
-                        Some(RangeMode::Both { min, max }),
-                        partial,
-                        guard,
-                    );
-                } else {
-                    // Fork node: left side keeps only the lower border, right
-                    // side only the upper border.
-                    self.continue_into_child(
-                        op,
-                        ts,
-                        &inner.left,
-                        Some(RangeMode::LeftBorder { min }),
-                        partial,
-                        guard,
-                    );
-                    self.continue_into_child(
-                        op,
-                        ts,
-                        &inner.right,
-                        Some(RangeMode::RightBorder { max }),
-                        partial,
-                        guard,
-                    );
-                }
-            }
-            RangeMode::LeftBorder { min } => {
-                if min >= inner.rsm {
-                    self.continue_into_child(
-                        op,
-                        ts,
-                        &inner.right,
-                        Some(RangeMode::LeftBorder { min }),
-                        partial,
-                        guard,
-                    );
-                } else {
-                    // The whole right subtree is inside the range: take its
-                    // aggregate from the child state, do not descend.
-                    // ORDERING: Acquire pairs with the AcqRel child-slot CASes, so the loaded
-                    // subtree (and its state record) is fully initialised.
-                    // SAFETY: `right` was loaded from an epoch-protected slot under `guard`;
-                    // nodes are retired only via `retire_subtree`/`defer_destroy`.
-                    let right = inner.right.load(Acquire, guard);
-                    // SAFETY: as above.
-                    let contribution = unsafe { right.deref() }.current_agg(guard);
-                    merge_agg::<K, V, A>(partial, &contribution);
-                    self.continue_into_child(
-                        op,
-                        ts,
-                        &inner.left,
-                        Some(RangeMode::LeftBorder { min }),
-                        partial,
-                        guard,
-                    );
-                }
-            }
-            RangeMode::RightBorder { max } => {
-                if max < inner.rsm {
-                    self.continue_into_child(
-                        op,
-                        ts,
-                        &inner.left,
-                        Some(RangeMode::RightBorder { max }),
-                        partial,
-                        guard,
-                    );
-                } else {
-                    // ORDERING: Acquire pairs with the AcqRel child-slot CASes (see the
-                    // symmetric right-border case above).
-                    // SAFETY: `left` is epoch-protected under `guard`.
-                    let left = inner.left.load(Acquire, guard);
-                    // SAFETY: as above.
-                    let contribution = unsafe { left.deref() }.current_agg(guard);
-                    merge_agg::<K, V, A>(partial, &contribution);
-                    self.continue_into_child(
-                        op,
-                        ts,
-                        &inner.right,
-                        Some(RangeMode::RightBorder { max }),
-                        partial,
-                        guard,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Continues the execution of `op` into the child stored in `slot`
-    /// (paper Listing 3, steps 2.1–2.2 plus the §II-E rebuild hook):
+    /// Continues the execution of `op` into `child` (paper Listing 3, steps
+    /// 2.1–2.2 plus the §II-E rebuild hook):
     ///
     /// * inner child — possibly rebuild it, register it in the traverse
-    ///   queue, record its range mode, apply the update's state delta
-    ///   (guarded by `Ts_Mod`) and `push_if` the descriptor into its queue;
+    ///   queue, record the range aggregate's mode (`mode`), apply the
+    ///   update's state delta (guarded by `Ts_Mod`) and `push_if` the
+    ///   descriptor into its queue;
     /// * leaf / empty child — the operation bottoms out here: apply the
     ///   structural change (insert/remove) or fold the leaf's contribution
     ///   into the node's partial result (lookups and range queries).
     fn continue_into_child(
         &self,
-        op: &OpRef<K, V, A>,
+        op: &OpRef<K, V, A, R>,
         ts: Timestamp,
-        slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
-        mode: Option<RangeMode<K>>,
+        child: Child<'_, K, V, A, R>,
+        mode: Option<R::Mode>,
         partial: &mut Partial<K, V, A::Agg>,
         guard: &Guard,
     ) {
+        let slot = child.slot;
         // The rebuild threshold is evaluated at most once per continuation:
         // after a rebuild the slot is re-read and execution simply continues
         // in the fresh subtree (§II-E). Re-checking would loop forever for
@@ -440,44 +357,27 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         loop {
             // ORDERING: Acquire pairs with the AcqRel child-slot CASes (split, remove,
             // rebuild), so the observed node is fully initialised.
-            // SAFETY: `child` was loaded from an epoch-protected slot under `guard` and
-            // is only retired via `defer_destroy` after being unlinked.
-            let child = slot.load(Acquire, guard);
-            // SAFETY: as above.
-            match unsafe { child.deref() } {
+            let current = slot.load(Acquire, guard);
+            // SAFETY: `current` was loaded from an epoch-protected slot under `guard`
+            // and is only retired via `defer_destroy` after being unlinked.
+            match unsafe { current.deref() } {
                 Node::Inner(c) => {
                     if op.kind.is_update() && !rebuild_checked {
                         rebuild_checked = true;
-                        debug_assert!(op.resolved_decision().success);
-                        let state = c.load_state(guard);
-                        // `mod_cnt == 0 && ts_mod == ts - 1` is exactly the
-                        // creation state of a subtree rebuilt *by this
-                        // operation* (the §II-E watermark): a helper that
-                        // arrives after the rebuild must not rebuild it
-                        // again. Without this guard, with rebuild factors
-                        // below 1 a second helper re-rebuilds the (tiny,
-                        // instantly over-threshold) fresh subtree and retires
-                        // it while other helpers of the same operation are
-                        // still applying their state delta to it — the
-                        // state-record double-free behind the historical
-                        // `heavy_rebuilds` SIGSEGV flake.
-                        let rebuilt_by_this_op =
-                            state.mod_cnt == 0 && state.ts_mod == ts.prev_saturating();
-                        if state.ts_mod < ts
-                            && !rebuilt_by_this_op
-                            && self.needs_rebuild(state.mod_cnt + 1, c.init_sz)
-                        {
-                            self.rebuild_subtree(slot, child, ts, guard);
-                            // Re-read the slot: it now holds the rebuilt
-                            // subtree (built by us or by another helper).
-                            continue;
+                        if let Some(init_sz) = R::rebuild_size(&c.route) {
+                            if self.rebuild_due(op, ts, c, init_sz, guard) {
+                                self.rebuild_subtree(child.at, slot, current, ts, guard);
+                                // Re-read the slot: it now holds the rebuilt
+                                // subtree (built by us or by another helper).
+                                continue;
+                            }
                         }
                     }
                     // Make the child reachable for the initiator *before* the
                     // descriptor can be executed (and popped) there.
-                    op.traverse.push(NodePtr::from_shared(child));
+                    op.traverse.push(NodePtr::from_shared(current));
                     if let Some(mode) = mode {
-                        op.modes.try_insert(c.id, mode);
+                        R::record_mode(&op.modes, c.id, mode);
                     }
                     if op.kind.is_update() {
                         self.apply_state_delta(op, ts, c, guard);
@@ -486,24 +386,50 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     return;
                 }
                 Node::Leaf(leaf) => {
-                    self.execute_at_leaf(op, ts, slot, child, leaf, mode, partial, guard);
+                    self.execute_at_leaf(op, ts, &child, current, leaf, partial, guard);
                     return;
                 }
                 Node::Empty(empty) => {
-                    self.execute_at_empty(op, ts, slot, child, empty, mode, partial, guard);
+                    self.execute_at_empty(op, ts, slot, current, empty, partial, guard);
                     return;
                 }
             }
         }
     }
 
+    /// `Mod_Cnt > K · Init_Sz` check (§II-E) for the inner child `c` that the
+    /// successful update `op` is about to modify.
+    fn rebuild_due(
+        &self,
+        op: &OpRef<K, V, A, R>,
+        ts: Timestamp,
+        c: &InnerNode<K, V, A, R>,
+        init_sz: u64,
+        guard: &Guard,
+    ) -> bool {
+        debug_assert!(op.resolved_decision().success);
+        let state = c.load_state(guard);
+        // `mod_cnt == 0 && ts_mod == ts - 1` is exactly the creation state of
+        // a subtree rebuilt *by this operation* (the §II-E watermark): a
+        // helper that arrives after the rebuild must not rebuild it again.
+        // Without this guard, with rebuild factors below 1 a second helper
+        // re-rebuilds the (tiny, instantly over-threshold) fresh subtree and
+        // retires it while other helpers of the same operation are still
+        // applying their state delta to it — the state-record double-free
+        // behind the historical `heavy_rebuilds` SIGSEGV flake.
+        let rebuilt_by_this_op = state.mod_cnt == 0 && state.ts_mod == ts.prev_saturating();
+        state.ts_mod < ts
+            && !rebuilt_by_this_op
+            && ((state.mod_cnt + 1) as f64) > self.config.rebuild_factor * (init_sz.max(1) as f64)
+    }
+
     /// Applies the augmentation delta of a successful update to an inner
     /// child's state, exactly once (the `Ts_Mod` CAS guard of §II-C).
     fn apply_state_delta(
         &self,
-        op: &OpRef<K, V, A>,
+        op: &OpRef<K, V, A, R>,
         ts: Timestamp,
-        child: &InnerNode<K, V, A>,
+        child: &InnerNode<K, V, A, R>,
         guard: &Guard,
     ) {
         let decision = op.resolved_decision();
@@ -567,12 +493,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     #[allow(clippy::too_many_arguments)]
     fn execute_at_leaf(
         &self,
-        op: &OpRef<K, V, A>,
+        op: &OpRef<K, V, A, R>,
         ts: Timestamp,
-        slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
-        child: Shared<'_, Node<K, V, A>>,
+        child: &Child<'_, K, V, A, R>,
+        current: Shared<'_, Node<K, V, A, R>>,
         leaf: &LeafNode<K, V>,
-        mode: Option<RangeMode<K>>,
         partial: &mut Partial<K, V, A::Agg>,
         guard: &Guard,
     ) {
@@ -586,7 +511,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     // later operations' work.
                     return;
                 }
-                if &leaf.key == key {
+                let new = if &leaf.key == key {
                     if matches!(op.kind, OpKind::Insert { .. }) {
                         // The leaf already carries the key: the insert's
                         // structural change was applied through a (re)built
@@ -600,82 +525,14 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     // (idempotent), since any leaf for this key with
                     // `created_ts < ts` predates our operation's effect or
                     // carries it verbatim.
-                    let new_leaf = Node::Leaf(LeafNode {
-                        key: *key,
-                        value: value.clone(),
-                        created_ts: ts,
-                    });
-                    // ORDERING: success AcqRel — Release publishes the new leaf, Acquire orders
-                    // the swap after the `created_ts`/key checks; failure Acquire is the
-                    // conservative mirror (the result is discarded).
-                    match slot.compare_exchange(child, Owned::new(new_leaf), AcqRel, Acquire, guard)
-                    {
-                        // SAFETY: our CAS unlinked the old leaf; single CAS winner per expected
-                        // pointer means it is retired exactly once, under `guard`.
-                        Ok(_) => unsafe { guard.defer_destroy(child) },
-                        Err(e) => {
-                            // SAFETY: the CAS failed, so `e.new` was never published and this thread
-                            // still owns it exclusively; freeing it immediately is sound.
-                            free_subtree_now(
-                                e.new.into_shared(unsafe { crossbeam_epoch::unprotected() }),
-                            );
-                        }
-                    }
-                    return;
-                }
-                // Split the leaf: a fresh routing node over the old and the
-                // new key. Its state already includes the new key, so its
-                // `ts_mod` / queue watermark are set to `ts` — stalled
-                // helpers of this very operation must not apply the delta or
-                // enqueue the descriptor again.
-                let (lo, hi) = if key < &leaf.key {
-                    ((*key, value.clone()), (leaf.key, leaf.value.clone()))
+                    Node::Leaf(LeafNode::new(*key, value.clone(), ts))
                 } else {
-                    ((leaf.key, leaf.value.clone()), (*key, value.clone()))
+                    // Split the leaf through the policy's builder; the new
+                    // subtree's state already includes the new key.
+                    let old = (leaf.key, leaf.value.clone());
+                    R::split_leaf(child.at, old, (*key, value.clone()), ts, &self.ids)
                 };
-                let agg = A::combine(&A::of_entry(&lo.0, &lo.1), &A::of_entry(&hi.0, &hi.1));
-                let split = Node::Inner(InnerNode {
-                    id: self.ids.fresh(),
-                    rsm: hi.0,
-                    init_sz: 2,
-                    left: crossbeam_epoch::Atomic::new(Node::Leaf(LeafNode {
-                        key: lo.0,
-                        value: lo.1,
-                        created_ts: ts,
-                    })),
-                    right: crossbeam_epoch::Atomic::new(Node::Leaf(LeafNode {
-                        key: hi.0,
-                        value: hi.1,
-                        created_ts: ts,
-                    })),
-                    state: crossbeam_epoch::Atomic::new(NodeState {
-                        agg,
-                        mod_cnt: 0,
-                        ts_mod: ts,
-                    }),
-                    queue: wft_queue::TsQueue::new(ts),
-                });
-                // ORDERING: success AcqRel — Release publishes the fully built split
-                // subtree to the Acquire child loads, Acquire orders it after the guard
-                // checks; failure Acquire mirrors the success ordering.
-                match slot.compare_exchange(child, Owned::new(split), AcqRel, Acquire, guard) {
-                    Ok(_) => {
-                        // The old leaf was replaced (its data was copied into
-                        // the new subtree); retire it.
-                        // SAFETY: our CAS unlinked the old leaf (single winner per expected
-                        // pointer); readers are protected by their epoch guards.
-                        unsafe { guard.defer_destroy(child) };
-                    }
-                    Err(e) => {
-                        // Another helper already applied the change; discard
-                        // our speculative subtree (never published).
-                        // SAFETY: the CAS failed, so the speculative subtree in `e.new` was never
-                        // published; this thread owns it exclusively.
-                        free_subtree_now(
-                            e.new.into_shared(unsafe { crossbeam_epoch::unprotected() }),
-                        );
-                    }
-                }
+                swap_slot(child.slot, current, new, guard);
             }
             OpKind::Remove { key } => {
                 if leaf.created_ts >= ts || &leaf.key != key {
@@ -686,27 +543,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     // not be touched).
                     return;
                 }
-                // ORDERING: success AcqRel — Release publishes the Empty placeholder,
-                // Acquire orders it after the `created_ts` check; failure Acquire mirrors
-                // the success ordering.
-                match slot.compare_exchange(
-                    child,
-                    Owned::new(Node::empty(ts)),
-                    AcqRel,
-                    Acquire,
-                    guard,
-                ) {
-                    // SAFETY: our CAS unlinked the removed leaf (single winner per expected
-                    // pointer); readers hold epoch guards until `defer_destroy` fires.
-                    Ok(_) => unsafe { guard.defer_destroy(child) },
-                    Err(e) => {
-                        // SAFETY: the CAS failed, so the placeholder in `e.new` was never
-                        // published; this thread owns it exclusively.
-                        free_subtree_now(
-                            e.new.into_shared(unsafe { crossbeam_epoch::unprotected() }),
-                        );
-                    }
-                }
+                swap_slot(child.slot, current, Node::empty(ts), guard);
             }
             OpKind::Lookup { key } => {
                 let found = if &leaf.key == key {
@@ -716,23 +553,20 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                 };
                 *partial = Partial::Lookup(Some(found));
             }
-            OpKind::RangeAgg { .. } => {
-                let mode = mode.expect("range queries always carry a mode");
-                if mode.admits(&leaf.key) {
+            OpKind::RangeAgg { min, max } => {
+                if min <= &leaf.key && &leaf.key <= max {
                     let contribution = A::of_entry(&leaf.key, &leaf.value);
                     merge_agg::<K, V, A>(partial, &contribution);
                 }
             }
-            OpKind::Collect { .. } => {
-                let mode = mode.expect("collect always carries its bounds");
-                if mode.admits(&leaf.key) {
+            OpKind::Collect { min, max } => {
+                if min <= &leaf.key && &leaf.key <= max {
                     if let Partial::Entries(entries) = partial {
                         entries.push((leaf.key, leaf.value.clone()));
                     }
                 }
             }
         }
-        let _ = ts; // timestamps are not needed at leaves beyond the CAS guards above
     }
 
     /// Bottom-of-path handling when the continuation child is an `Empty`
@@ -740,12 +574,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     #[allow(clippy::too_many_arguments)]
     fn execute_at_empty(
         &self,
-        op: &OpRef<K, V, A>,
+        op: &OpRef<K, V, A, R>,
         ts: Timestamp,
-        slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
-        child: Shared<'_, Node<K, V, A>>,
-        empty: &crate::node::EmptyNode,
-        _mode: Option<RangeMode<K>>,
+        slot: &Atomic<Node<K, V, A, R>>,
+        current: Shared<'_, Node<K, V, A, R>>,
+        empty: &EmptyNode,
         partial: &mut Partial<K, V, A::Agg>,
         guard: &Guard,
     ) {
@@ -757,26 +590,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     // again) by later-linearized operations.
                     return;
                 }
-                let leaf = Node::Leaf(LeafNode {
-                    key: *key,
-                    value: value.clone(),
-                    created_ts: ts,
-                });
-                // ORDERING: success AcqRel — Release publishes the new leaf to the Acquire
-                // child loads, Acquire orders it after the `created_ts` check; failure
-                // Acquire mirrors the success ordering.
-                match slot.compare_exchange(child, Owned::new(leaf), AcqRel, Acquire, guard) {
-                    // SAFETY: our CAS unlinked the Empty placeholder (single winner per
-                    // expected pointer); readers hold epoch guards.
-                    Ok(_) => unsafe { guard.defer_destroy(child) },
-                    Err(e) => {
-                        // SAFETY: the CAS failed, so the leaf in `e.new` was never published; this
-                        // thread owns it exclusively.
-                        free_subtree_now(
-                            e.new.into_shared(unsafe { crossbeam_epoch::unprotected() }),
-                        );
-                    }
-                }
+                let leaf = Node::Leaf(LeafNode::new(*key, value.clone(), ts));
+                swap_slot(slot, current, leaf, guard);
             }
             OpKind::Remove { .. } => {
                 // A successful remove never bottoms out at Empty (the key was
@@ -793,11 +608,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         }
     }
 
-    /// `Mod_Cnt > K · Init_Sz` check (§II-E).
-    fn needs_rebuild(&self, prospective_mod_cnt: u64, init_sz: u64) -> bool {
-        (prospective_mod_cnt as f64) > self.config.rebuild_factor * (init_sz.max(1) as f64)
-    }
-
     /// Rebuilds the subtree stored in `slot` (currently `old_child`) into a
     /// perfectly balanced one, as part of executing the operation with
     /// timestamp `op_ts` in the slot's owner (§II-E):
@@ -810,8 +620,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     ///    equivalent replacement.
     pub(crate) fn rebuild_subtree(
         &self,
-        slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
-        old_child: Shared<'_, Node<K, V, A>>,
+        at: SlotAt<'_, R::Route>,
+        slot: &Atomic<Node<K, V, A, R>>,
+        old_child: Shared<'_, Node<K, V, A, R>>,
         op_ts: Timestamp,
         guard: &Guard,
     ) {
@@ -825,7 +636,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
 
         // 3. Build the balanced replacement.
         let watermark = op_ts.prev_saturating();
-        let (new_node, _agg) = build_subtree::<K, V, A>(&entries, watermark, &self.ids);
+        let (new_node, _agg) = R::build::<V, A>(at, &entries, watermark, &self.ids);
 
         // 4. Swap it in.
         // ORDERING: success AcqRel — Release publishes the fully built balanced
@@ -851,7 +662,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                 // published and can be freed immediately.
                 // SAFETY: the CAS failed, so our replacement subtree was never published;
                 // this thread owns it exclusively and may free it in place.
-                free_subtree_now(e.new.into_shared(unsafe { crossbeam_epoch::unprotected() }));
+                unsafe { free_subtree_now(e.new.into_shared(crossbeam_epoch::unprotected())) };
             }
         }
     }
@@ -860,7 +671,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// at `node` (pre-order: a node's queue is drained before its children
     /// are visited, so descriptors pushed downwards by the drain are picked
     /// up later in the same pass).
-    fn drain_subtree(&self, node: Shared<'_, Node<K, V, A>>, guard: &Guard) {
+    fn drain_subtree(&self, node: Shared<'_, Node<K, V, A, R>>, guard: &Guard) {
         if node.is_null() {
             return;
         }
@@ -883,6 +694,29 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
             // ORDERING: as above, for the right child.
             self.drain_subtree(inner.right.load(Acquire, guard), guard);
         }
+    }
+}
+
+/// Replaces the leaf or placeholder `current` in `slot` by `new`, exactly
+/// once among racing helpers: the CAS winner retires `current`, a loser
+/// frees its never-published `new` (a faster helper applied the change).
+fn swap_slot<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>>(
+    slot: &Atomic<Node<K, V, A, R>>,
+    current: Shared<'_, Node<K, V, A, R>>,
+    new: Node<K, V, A, R>,
+    guard: &Guard,
+) {
+    // ORDERING: success AcqRel — Release publishes the new node (a leaf, a
+    // placeholder or a fully built split subtree) to the Acquire child loads,
+    // Acquire orders the swap after the caller's `created_ts` checks; failure
+    // Acquire mirrors the success ordering.
+    match slot.compare_exchange(current, Owned::new(new), AcqRel, Acquire, guard) {
+        // SAFETY: our CAS unlinked `current` (single winner per expected pointer);
+        // readers hold epoch guards until `defer_destroy` fires.
+        Ok(_) => unsafe { guard.defer_destroy(current) },
+        // SAFETY: the CAS failed, so `e.new` was never published; this thread owns
+        // it exclusively and may free it in place.
+        Err(e) => unsafe { free_subtree_now(e.new.into_shared(crossbeam_epoch::unprotected())) },
     }
 }
 

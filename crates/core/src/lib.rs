@@ -36,9 +36,17 @@
 //! | [`tree`] | the public [`WaitFreeTree`] API |
 //! | [`exec`] | the hand-over-hand helping engine (Listings 1–3, rebuilds) |
 //! | [`read`] | descriptor-free read fast paths (presence-index point reads, optimistic validated range traversal) |
+//! | [`routing`] | the routing policy trait and the paper's BST policy ([`Bst`]) |
 //! | [`node`] | node layout, immutable states, subtree build/retire |
 //! | [`descriptor`] | operation descriptors, range modes, partial results |
 //! | [`config`] | construction parameters and operational statistics |
+//!
+//! There is one engine. Everything that depends on the tree's shape — the
+//! routing record of a node, the child a key routes into, the per-node
+//! range split, the subtree builders, rebuilding, the route check and the
+//! metrics prefix — is a statically dispatched [`Routing`] policy, the last
+//! type parameter of [`WaitFreeTree`]. The `wft-trie` crate is such a
+//! policy: a binary trie over fixed-width keys running on this engine.
 //!
 //! The concurrent primitives (timestamped queues, traverse queue,
 //! first-write-wins map, presence index, wait-free root queue) live in the
@@ -79,10 +87,12 @@ pub mod exec;
 pub mod node;
 pub mod read;
 mod rootq;
+pub mod routing;
 pub mod tree;
 
 pub use config::{ReadPath, RootQueueKind, TreeConfig, TreeStats};
 pub use descriptor::{OpKind, RangeMode};
+pub use routing::{Bst, BstRoute, Routing, SlotAt, Step};
 pub use tree::WaitFreeTree;
 
 // Re-export the timestamp type: the tree's front API (`stable_ts`,

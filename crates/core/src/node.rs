@@ -15,15 +15,18 @@
 //!   CASes on a *parent's* child slot (insert splits a leaf, remove replaces
 //!   a leaf with [`Node::Empty`], rebuilds swap whole subtrees), which keeps
 //!   the paper's rule that executing an operation in `v` only modifies `v`'s
-//!   children.
+//!   children,
+//! * the routing record is whatever the tree's [`Routing`] policy stores
+//!   (`Right_Subtree_Min` and `Init_Sz` for the [`Bst`]).
 
-use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
+use crossbeam_epoch::{Atomic, Guard, Shared};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wft_queue::{Timestamp, TsQueue};
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::descriptor::OpRef;
+use crate::routing::{Bst, BstRoute, Routing};
 
 /// Unique identifier of an inner node, used as the key of the per-operation
 /// `Processed` and mode maps. The fictive root uses id `0`; real nodes get
@@ -36,18 +39,21 @@ pub const FICTIVE_ROOT_ID: NodeId = 0;
 /// Allocates unique node identifiers (a fetch-and-add counter, as suggested
 /// in §II-B).
 #[derive(Debug)]
-pub(crate) struct IdAllocator {
+pub struct IdAllocator {
     next: AtomicU64,
 }
 
-impl IdAllocator {
-    pub(crate) fn new() -> Self {
+impl Default for IdAllocator {
+    fn default() -> Self {
         IdAllocator {
             next: AtomicU64::new(FICTIVE_ROOT_ID + 1),
         }
     }
+}
 
-    pub(crate) fn fresh(&self) -> NodeId {
+impl IdAllocator {
+    /// A fresh identifier, never handed out before.
+    pub fn fresh(&self) -> NodeId {
         self.next.fetch_add(1, Ordering::Relaxed)
     }
 }
@@ -93,6 +99,17 @@ pub struct LeafNode<K, V> {
     pub created_ts: Timestamp,
 }
 
+impl<K, V> LeafNode<K, V> {
+    /// A leaf installed by the operation (or build) with timestamp `ts`.
+    pub fn new(key: K, value: V, created_ts: Timestamp) -> Self {
+        LeafNode {
+            key,
+            value,
+            created_ts,
+        }
+    }
+}
+
 /// A removed leaf position (or the empty tree), carrying the timestamp of the
 /// operation that created it for the same structural-CAS guard as
 /// [`LeafNode::created_ts`].
@@ -103,36 +120,34 @@ pub struct EmptyNode {
 }
 
 /// An inner (routing) node.
-pub struct InnerNode<K: Key, V: Value, A: Augmentation<K, V>> {
+pub struct InnerNode<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K> = Bst> {
     /// Unique node identifier (never reused).
     pub id: NodeId,
-    /// `Right_Subtree_Min`: keys `< rsm` route left, keys `>= rsm` right.
-    pub rsm: K,
-    /// Subtree size at creation (`Init_Sz`, §II-E); immutable.
-    pub init_sz: u64,
+    /// The routing record; immutable.
+    pub route: R::Route,
     /// Left child slot.
-    pub left: Atomic<Node<K, V, A>>,
+    pub left: Atomic<Node<K, V, A, R>>,
     /// Right child slot.
-    pub right: Atomic<Node<K, V, A>>,
+    pub right: Atomic<Node<K, V, A, R>>,
     /// Swappable immutable state record.
     pub state: Atomic<NodeState<A::Agg>>,
     /// Per-node operations queue (§II-A). The dummy timestamp equals the
     /// node's creation watermark: descriptors older than the node can never
     /// enter.
-    pub queue: TsQueue<OpRef<K, V, A>>,
+    pub queue: TsQueue<OpRef<K, V, A, R>>,
 }
 
-/// A node of the concurrent external BST.
-pub enum Node<K: Key, V: Value, A: Augmentation<K, V>> {
+/// A node of the concurrent tree.
+pub enum Node<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K> = Bst> {
     /// A removed leaf position (or the empty tree); cleaned up by rebuilds.
     Empty(EmptyNode),
     /// A data item.
     Leaf(LeafNode<K, V>),
     /// A routing node with queue and state.
-    Inner(InnerNode<K, V, A>),
+    Inner(InnerNode<K, V, A, R>),
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> Node<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Node<K, V, A, R> {
     /// An empty placeholder created by the operation with timestamp `ts`.
     pub fn empty(ts: Timestamp) -> Self {
         Node::Empty(EmptyNode { created_ts: ts })
@@ -144,7 +159,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> Node<K, V, A> {
     }
 
     /// The inner node, if this is one.
-    pub fn as_inner(&self) -> Option<&InnerNode<K, V, A>> {
+    pub fn as_inner(&self) -> Option<&InnerNode<K, V, A, R>> {
         match self {
             Node::Inner(inner) => Some(inner),
             _ => None,
@@ -172,7 +187,41 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> Node<K, V, A> {
     }
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> InnerNode<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> InnerNode<K, V, A, R> {
+    /// A fresh inner node over `left` and `right` whose subtree aggregate is
+    /// `agg`. Its state's `Ts_Mod` and its queue's watermark are `ts`, so no
+    /// descriptor with a timestamp `<= ts` can modify or enter it.
+    pub fn new(
+        id: NodeId,
+        route: R::Route,
+        left: Node<K, V, A, R>,
+        right: Node<K, V, A, R>,
+        agg: A::Agg,
+        ts: Timestamp,
+    ) -> Self {
+        InnerNode {
+            id,
+            route,
+            left: Atomic::new(left),
+            right: Atomic::new(right),
+            state: Atomic::new(NodeState {
+                agg,
+                mod_cnt: 0,
+                ts_mod: ts,
+            }),
+            queue: TsQueue::new(ts),
+        }
+    }
+
+    /// The right child slot if `right`, else the left one.
+    pub(crate) fn child(&self, right: bool) -> &Atomic<Node<K, V, A, R>> {
+        if right {
+            &self.right
+        } else {
+            &self.left
+        }
+    }
+
     /// Loads the current state record.
     pub fn load_state<'g>(&self, guard: &'g Guard) -> &'g NodeState<A::Agg> {
         // ORDERING: Acquire pairs with the AcqRel state CAS in
@@ -200,26 +249,28 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> InnerNode<K, V, A> {
 /// the root queue. Any node reachable through the traverse queue was loaded
 /// from a live child slot after that point, so its reclamation (if it gets
 /// unlinked by a rebuild) is deferred past the initiator's guard.
-pub struct NodePtr<K: Key, V: Value, A: Augmentation<K, V>>(*const Node<K, V, A>);
+pub struct NodePtr<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K> = Bst>(
+    *const Node<K, V, A, R>,
+);
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> Clone for NodePtr<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Clone for NodePtr<K, V, A, R> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<K: Key, V: Value, A: Augmentation<K, V>> Copy for NodePtr<K, V, A> {}
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Copy for NodePtr<K, V, A, R> {}
 
 // SAFETY: see the type-level comment — the raw pointer is only
 // dereferenced by the initiator under its pre-enqueue epoch guard, so
 // sending the wrapper across threads is sound.
-unsafe impl<K: Key, V: Value, A: Augmentation<K, V>> Send for NodePtr<K, V, A> {}
+unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Send for NodePtr<K, V, A, R> {}
 // SAFETY: same argument as `Send`; shared copies only ever read the
 // pointer value, the deref contract is enforced by `NodePtr::deref`.
-unsafe impl<K: Key, V: Value, A: Augmentation<K, V>> Sync for NodePtr<K, V, A> {}
+unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Sync for NodePtr<K, V, A, R> {}
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> NodePtr<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> NodePtr<K, V, A, R> {
     /// Wraps a shared pointer obtained under an epoch guard.
-    pub fn from_shared(shared: Shared<'_, Node<K, V, A>>) -> Self {
+    pub fn from_shared(shared: Shared<'_, Node<K, V, A, R>>) -> Self {
         NodePtr(shared.as_raw())
     }
 
@@ -233,7 +284,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> NodePtr<K, V, A> {
     // SAFETY: the pointee stays alive because the initiator's guard predates
     // every possible unlink of this node (see above); callers uphold the
     // initiator+guard requirement.
-    pub unsafe fn deref<'g>(&self, _guard: &'g Guard) -> &'g Node<K, V, A> {
+    pub unsafe fn deref<'g>(&self, _guard: &'g Guard) -> &'g Node<K, V, A, R> {
         &*self.0
     }
 }
@@ -254,11 +305,7 @@ pub(crate) fn build_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
     match entries {
         [] => (Node::empty(watermark), A::identity()),
         [(key, value)] => (
-            Node::Leaf(LeafNode {
-                key: *key,
-                value: value.clone(),
-                created_ts: watermark,
-            }),
+            Node::Leaf(LeafNode::new(*key, value.clone(), watermark)),
             A::of_entry(key, value),
         ),
         _ => {
@@ -266,19 +313,11 @@ pub(crate) fn build_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
             let (left, left_agg) = build_subtree::<K, V, A>(&entries[..mid], watermark, ids);
             let (right, right_agg) = build_subtree::<K, V, A>(&entries[mid..], watermark, ids);
             let agg = A::combine(&left_agg, &right_agg);
-            let inner = InnerNode {
-                id: ids.fresh(),
+            let route = BstRoute {
                 rsm: entries[mid].0,
                 init_sz: entries.len() as u64,
-                left: Atomic::new(left),
-                right: Atomic::new(right),
-                state: Atomic::new(NodeState {
-                    agg: agg.clone(),
-                    mod_cnt: 0,
-                    ts_mod: watermark,
-                }),
-                queue: TsQueue::new(watermark),
             };
+            let inner = InnerNode::new(ids.fresh(), route, left, right, agg.clone(), watermark);
             (Node::Inner(inner), agg)
         }
     }
@@ -288,8 +327,8 @@ pub(crate) fn build_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
 /// key order, following the *current* child pointers. Used by the rebuild
 /// procedure after it has drained every queue in the subtree, and by
 /// quiescent diagnostics.
-pub(crate) fn collect_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
-    node: Shared<'_, Node<K, V, A>>,
+pub fn collect_subtree<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>>(
+    node: Shared<'_, Node<K, V, A, R>>,
     out: &mut Vec<(K, V)>,
     guard: &Guard,
 ) {
@@ -317,8 +356,8 @@ pub(crate) fn collect_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
 /// Must only be called on a subtree that has just been atomically replaced
 /// (rebuild) — i.e. no new references to it can be created, and existing
 /// references are protected by their owners' guards.
-pub(crate) fn retire_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
-    node: Shared<'_, Node<K, V, A>>,
+pub(crate) fn retire_subtree<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>>(
+    node: Shared<'_, Node<K, V, A, R>>,
     guard: &Guard,
 ) {
     if node.is_null() {
@@ -346,10 +385,16 @@ pub(crate) fn retire_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
     unsafe { guard.defer_destroy(node) };
 }
 
-/// Frees a subtree immediately. Only safe with exclusive access (tree `Drop`
-/// or a speculative subtree that was never published).
-pub(crate) fn free_subtree_now<K: Key, V: Value, A: Augmentation<K, V>>(
-    node: Shared<'_, Node<K, V, A>>,
+/// Frees a subtree immediately.
+///
+/// # Safety
+///
+/// The caller must have exclusive access to the subtree (tree `Drop`, or a
+/// speculative subtree that was never published).
+// SAFETY: the contract above makes the caller the subtree's only owner, so
+// freeing each node exactly once without epoch protection is sound.
+pub unsafe fn free_subtree_now<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>>(
+    node: Shared<'_, Node<K, V, A, R>>,
 ) {
     if node.is_null() {
         return;
@@ -372,26 +417,17 @@ pub(crate) fn free_subtree_now<K: Key, V: Value, A: Augmentation<K, V>>(
     }
 }
 
-/// Wraps a freshly built subtree into an `Owned` allocation ready to be
-/// CAS-ed into a child slot.
-#[allow(dead_code)]
-pub(crate) fn into_owned_node<K: Key, V: Value, A: Augmentation<K, V>>(
-    node: Node<K, V, A>,
-) -> Owned<Node<K, V, A>> {
-    Owned::new(node)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_epoch as epoch;
+    use crossbeam_epoch::{self as epoch, Owned};
     use wft_seq::Size;
 
     type N = Node<i64, (), Size>;
 
     #[test]
     fn id_allocator_is_monotone_and_skips_fictive_root() {
-        let ids = IdAllocator::new();
+        let ids = IdAllocator::default();
         let a = ids.fresh();
         let b = ids.fresh();
         assert!(a > FICTIVE_ROOT_ID);
@@ -400,14 +436,14 @@ mod tests {
 
     #[test]
     fn build_subtree_computes_aggregates_and_watermarks() {
-        let ids = IdAllocator::new();
+        let ids = IdAllocator::default();
         let entries: Vec<(i64, ())> = (0..100).map(|k| (k, ())).collect();
         let (node, agg) = build_subtree::<i64, (), Size>(&entries, Timestamp(41), &ids);
         assert_eq!(agg, 100);
         let guard = epoch::pin();
         match &node {
             Node::Inner(inner) => {
-                assert_eq!(inner.init_sz, 100);
+                assert_eq!(inner.route.init_sz, 100);
                 assert_eq!(inner.load_state(&guard).agg, 100);
                 assert_eq!(inner.load_state(&guard).ts_mod, Timestamp(41));
                 assert_eq!(inner.load_state(&guard).mod_cnt, 0);
@@ -420,26 +456,25 @@ mod tests {
             _ => panic!("100 entries must build an inner root"),
         }
         // Free the speculative subtree.
-        let owned = into_owned_node(node);
         // SAFETY: the subtree was never published; this test owns it exclusively.
-        free_subtree_now(owned.into_shared(unsafe { epoch::unprotected() }));
+        unsafe { free_subtree_now(Owned::new(node).into_shared(epoch::unprotected())) };
     }
 
     #[test]
     fn build_and_collect_roundtrip() {
-        let ids = IdAllocator::new();
+        let ids = IdAllocator::default();
         for n in [0usize, 1, 2, 3, 7, 64, 101] {
             let entries: Vec<(i64, ())> = (0..n as i64).map(|k| (k * 2, ())).collect();
             let (node, agg) = build_subtree::<i64, (), Size>(&entries, Timestamp::ZERO, &ids);
             assert_eq!(agg, n as u64);
-            let owned = into_owned_node(node);
             // SAFETY: the subtree was never published; this test owns it exclusively.
-            let shared = owned.into_shared(unsafe { epoch::unprotected() });
+            let shared = Owned::new(node).into_shared(unsafe { epoch::unprotected() });
             let guard = epoch::pin();
             let mut out = Vec::new();
             collect_subtree(shared, &mut out, &guard);
             assert_eq!(out, entries);
-            free_subtree_now(shared);
+            // SAFETY: as above — still exclusively owned by this test.
+            unsafe { free_subtree_now(shared) };
         }
     }
 

@@ -24,9 +24,11 @@
 //! # The optimistic traversal and its validation rule
 //!
 //! The traversal walks the same pruned paths as the descriptor-based range
-//! query (the three-mode scheme of the paper's appendix): it descends
-//! through *partially* covered inner nodes, absorbs the stored aggregate of
-//! *fully* covered children, and reads bordering leaves directly. While
+//! query — the routing policy's range split ([`crate::Routing::split`]): the
+//! three-mode scheme of the paper's appendix for the BST, fixed coverage
+//! intervals for a trie. It descends through *partially* covered inner
+//! nodes, absorbs the stored aggregate of *fully* covered children, and
+//! reads bordering leaves directly. While
 //! doing so it records a **read log**:
 //!
 //! * every inner node it descended through, with the state-record pointer
@@ -72,7 +74,8 @@
 //!    that passed the child's parent (eager top-down maintenance), so
 //!    updates still propagating strictly *inside* an absorbed subtree are
 //!    correctly counted, not torn.
-//! 3. Reads of nodes that a concurrent §II-E rebuild has replaced are still
+//! 3. Reads of nodes that a concurrent §II-E rebuild (if the policy
+//!    rebuilds at all) has replaced are still
 //!    consistent: a replaced subtree is drained before it is unlinked and is
 //!    frozen afterwards (the epoch guard keeps it alive), so a traversal
 //!    that slipped into it reads a valid — merely slightly older —
@@ -95,42 +98,43 @@
 //! The attempt is abandoned (and [`crate::TreeStats::range_fallbacks`]
 //! incremented) when a resolved successful update sits at the root-queue
 //! head, when a descended node's queue is non-empty at the visit, or when
-//! any logged pointer/queue/head check fails at validation. One attempt is
-//! made per query: the fallback is the pre-existing wait-free descriptor
-//! path, so the combined operation keeps its progress and complexity
-//! guarantees (fast-path/slow-path discipline).
+//! any logged pointer/queue/head check fails at validation. A query makes
+//! at most [`crate::TreeConfig::fast_read_attempts`] attempts: the fallback
+//! is the pre-existing wait-free descriptor path, so the combined operation
+//! keeps its progress and complexity guarantees (fast-path/slow-path
+//! discipline).
 
 use crossbeam_epoch::{Atomic, Guard, Shared};
 use std::sync::atomic::Ordering::Acquire;
 
 use wft_seq::{Augmentation, Key, Value};
 
-use crate::descriptor::RangeMode;
 use crate::node::{InnerNode, Node, NodeState};
+use crate::routing::{Routing, Step};
 use crate::tree::WaitFreeTree;
 
 /// A logged `(inner node, observed state pointer)` pair.
-type StateObservation<'g, K, V, A> = (
-    &'g InnerNode<K, V, A>,
+type StateObservation<'g, K, V, A, R> = (
+    &'g InnerNode<K, V, A, R>,
     Shared<'g, NodeState<<A as Augmentation<K, V>>::Agg>>,
 );
 
 /// A logged `(child slot, observed child pointer)` pair.
-type SlotObservation<'g, K, V, A> = (&'g Atomic<Node<K, V, A>>, Shared<'g, Node<K, V, A>>);
+type SlotObservation<'g, K, V, A, R> = (&'g Atomic<Node<K, V, A, R>>, Shared<'g, Node<K, V, A, R>>);
 
 /// The read log of one optimistic traversal (see the module docs).
-struct ReadLog<'g, K: Key, V: Value, A: Augmentation<K, V>> {
+struct ReadLog<'g, K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> {
     /// Inner nodes the traversal descended through: the node plus the state
     /// pointer observed at the visit. Queues are re-checked at validation.
-    descended: Vec<StateObservation<'g, K, V, A>>,
+    descended: Vec<StateObservation<'g, K, V, A, R>>,
     /// Fully-covered inner children whose stored aggregate was absorbed.
-    absorbed: Vec<StateObservation<'g, K, V, A>>,
+    absorbed: Vec<StateObservation<'g, K, V, A, R>>,
     /// Leaf/empty child slots whose content was read, with the observed
     /// pointer.
-    slots: Vec<SlotObservation<'g, K, V, A>>,
+    slots: Vec<SlotObservation<'g, K, V, A, R>>,
 }
 
-impl<'g, K: Key, V: Value, A: Augmentation<K, V>> ReadLog<'g, K, V, A> {
+impl<'g, K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> ReadLog<'g, K, V, A, R> {
     fn new() -> Self {
         ReadLog {
             descended: Vec::new(),
@@ -155,9 +159,34 @@ impl<'g, K: Key, V: Value, A: Augmentation<K, V>> ReadLog<'g, K, V, A> {
                 // slot pointer proves no structural change was published in the window.
                 .all(|(slot, child)| slot.load(Acquire, guard) == *child)
     }
+
+    /// Logs `inner` as descended through, unless its queue holds a pending
+    /// descriptor: an update (or a helped read) is mid-flight right there,
+    /// so the walk bails out (`None`) instead of reading data that is about
+    /// to change.
+    fn descend(&mut self, inner: &'g InnerNode<K, V, A, R>, guard: &'g Guard) -> Option<()> {
+        if !inner.queue.is_empty(guard) {
+            return None;
+        }
+        self.descended.push((inner, inner.load_state_shared(guard)));
+        Some(())
+    }
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
+/// The bounds of one optimistic range read.
+#[derive(Clone, Copy)]
+struct Bounds<'a, K> {
+    min: &'a K,
+    max: &'a K,
+}
+
+impl<K: Key> Bounds<'_, K> {
+    fn admits(&self, key: &K) -> bool {
+        self.min <= key && key <= self.max
+    }
+}
+
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> WaitFreeTree<K, V, A, R> {
     /// `true` while an update that has already been **resolved** through the
     /// presence index (i.e. linearized, visible to fast point reads) may not
     /// yet have applied its first state/structural CAS below the fictive
@@ -184,26 +213,17 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         }
         let mut log = ReadLog::new();
         let mut acc = A::identity();
-        self.walk_agg_slot(
-            &self.root_child,
-            RangeMode::Both { min, max },
-            &mut acc,
-            &mut log,
-            guard,
-        )?;
+        let bounds = Bounds {
+            min: &min,
+            max: &max,
+        };
+        let mode = R::root_mode(min, max);
+        self.walk_agg_slot(&self.root_child, mode, bounds, &mut acc, &mut log, guard)?;
         if log.validate(guard) && !self.resolved_update_pending(guard) {
             Some(acc)
         } else {
             None
         }
-    }
-
-    /// Optimistic descriptor-free `collect_range` over `[min, max]`.
-    /// Entries come out in key order (in-order walk). Returns `None` on
-    /// validation failure.
-    pub(crate) fn try_fast_collect(&self, min: K, max: K, guard: &Guard) -> Option<Vec<(K, V)>> {
-        self.try_fast_collect_limited(min, max, usize::MAX, guard)
-            .map(|(out, _)| out)
     }
 
     /// Optimistic descriptor-free collect of the (up to) `limit` smallest
@@ -231,135 +251,77 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
             return None;
         }
         let mut log = ReadLog::new();
-        let mut out = Vec::new();
-        let mut early_exit = false;
-        self.walk_collect_slot(
-            &self.root_child,
-            &min,
-            &max,
+        let mut walk = CollectWalk {
+            bounds: Bounds {
+                min: &min,
+                max: &max,
+            },
             limit,
-            &mut out,
-            &mut early_exit,
-            &mut log,
-            guard,
-        )?;
+            out: Vec::new(),
+            early_exit: false,
+        };
+        self.walk_collect_slot(&self.root_child, &mut walk, &mut log, guard)?;
         if log.validate(guard) && !self.resolved_update_pending(guard) {
-            Some((out, early_exit))
+            Some((walk.out, walk.early_exit))
         } else {
             None
         }
     }
 
-    /// Aggregate walk continuation into a child slot: descend inner nodes,
-    /// fold leaves, log what was read.
+    /// Aggregate walk continuation into a child slot: descend inner nodes
+    /// along the policy's range split, absorbing fully covered children;
+    /// fold leaves; log what was read.
     fn walk_agg_slot<'g>(
         &self,
-        slot: &'g Atomic<Node<K, V, A>>,
-        mode: RangeMode<K>,
+        slot: &'g Atomic<Node<K, V, A, R>>,
+        mode: R::Mode,
+        bounds: Bounds<'_, K>,
         acc: &mut A::Agg,
-        log: &mut ReadLog<'g, K, V, A>,
+        log: &mut ReadLog<'g, K, V, A, R>,
         guard: &'g Guard,
     ) -> Option<()> {
         // ORDERING: Acquire pairs with the AcqRel child-slot CASes, so the loaded
         // node is fully initialised.
+        let child = slot.load(Acquire, guard);
         // SAFETY: `child` is epoch-protected under `guard` (retired only via
         // `defer_destroy` after being unlinked).
-        let child = slot.load(Acquire, guard);
-        // SAFETY: as above.
         match unsafe { child.deref() } {
-            Node::Inner(inner) => self.walk_agg_inner(inner, mode, acc, log, guard),
+            Node::Inner(inner) => {
+                log.descend(inner, guard)?;
+                let steps = R::split(&inner.route, mode, bounds.min, bounds.max);
+                for (right, step) in [false, true].into_iter().zip(steps) {
+                    match step {
+                        Step::Skip => {}
+                        Step::Absorb => self.absorb_child(inner.child(right), acc, log, guard),
+                        Step::Descend(mode) => {
+                            self.walk_agg_slot(inner.child(right), mode, bounds, acc, log, guard)?
+                        }
+                    }
+                }
+            }
             Node::Leaf(leaf) => {
                 log.slots.push((slot, child));
-                if mode.admits(&leaf.key) {
+                if bounds.admits(&leaf.key) {
                     *acc = A::combine(acc, &A::of_entry(&leaf.key, &leaf.value));
                 }
-                Some(())
             }
-            Node::Empty(_) => {
-                log.slots.push((slot, child));
-                Some(())
-            }
+            Node::Empty(_) => log.slots.push((slot, child)),
         }
-    }
-
-    /// Aggregate walk at a descended inner node: the three-mode pruning of
-    /// the paper's appendix, absorbing fully covered children.
-    fn walk_agg_inner<'g>(
-        &self,
-        inner: &'g InnerNode<K, V, A>,
-        mode: RangeMode<K>,
-        acc: &mut A::Agg,
-        log: &mut ReadLog<'g, K, V, A>,
-        guard: &'g Guard,
-    ) -> Option<()> {
-        // A pending descriptor means an update (or a helped read) is mid-
-        // flight right here; bail out to the slow path immediately instead
-        // of walking data that is about to change.
-        if !inner.queue.is_empty(guard) {
-            return None;
-        }
-        log.descended.push((inner, inner.load_state_shared(guard)));
-        match mode {
-            RangeMode::Both { min, max } => {
-                if min >= inner.rsm {
-                    self.walk_agg_slot(&inner.right, RangeMode::Both { min, max }, acc, log, guard)
-                } else if max < inner.rsm {
-                    self.walk_agg_slot(&inner.left, RangeMode::Both { min, max }, acc, log, guard)
-                } else {
-                    self.walk_agg_slot(
-                        &inner.left,
-                        RangeMode::LeftBorder { min },
-                        acc,
-                        log,
-                        guard,
-                    )?;
-                    self.walk_agg_slot(
-                        &inner.right,
-                        RangeMode::RightBorder { max },
-                        acc,
-                        log,
-                        guard,
-                    )
-                }
-            }
-            RangeMode::LeftBorder { min } => {
-                if min >= inner.rsm {
-                    self.walk_agg_slot(&inner.right, RangeMode::LeftBorder { min }, acc, log, guard)
-                } else {
-                    self.absorb_child(&inner.right, acc, log, guard);
-                    self.walk_agg_slot(&inner.left, RangeMode::LeftBorder { min }, acc, log, guard)
-                }
-            }
-            RangeMode::RightBorder { max } => {
-                if max < inner.rsm {
-                    self.walk_agg_slot(&inner.left, RangeMode::RightBorder { max }, acc, log, guard)
-                } else {
-                    self.absorb_child(&inner.left, acc, log, guard);
-                    self.walk_agg_slot(
-                        &inner.right,
-                        RangeMode::RightBorder { max },
-                        acc,
-                        log,
-                        guard,
-                    )
-                }
-            }
-        }
+        Some(())
     }
 
     /// Absorbs a fully covered child: its current aggregate joins the
     /// accumulator without descending (what makes the query logarithmic).
     fn absorb_child<'g>(
         &self,
-        slot: &'g Atomic<Node<K, V, A>>,
+        slot: &'g Atomic<Node<K, V, A, R>>,
         acc: &mut A::Agg,
-        log: &mut ReadLog<'g, K, V, A>,
+        log: &mut ReadLog<'g, K, V, A, R>,
         guard: &'g Guard,
     ) {
         // ORDERING: Acquire pairs with the AcqRel child-slot CASes.
-        // SAFETY: `child` is epoch-protected under `guard`.
         let child = slot.load(Acquire, guard);
-        // SAFETY: as above.
+        // SAFETY: `child` is epoch-protected under `guard`.
         match unsafe { child.deref() } {
             Node::Inner(inner) => {
                 let state = inner.load_state_shared(guard);
@@ -382,74 +344,53 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     }
 
     /// Collect walk continuation into a child slot (no absorption: every
-    /// overlapping subtree is descended, like the descriptor-based
-    /// `collect`). Once `out` holds `limit` entries the walk stops
-    /// descending: skipped slots are *not* logged, which is sound because
-    /// the in-order walk guarantees they only cover keys beyond the last
-    /// collected one (see `try_fast_collect_limited`).
-    #[allow(clippy::too_many_arguments)]
+    /// overlapping subtree is descended, in key order, like the
+    /// descriptor-based `collect`). Once `limit` entries are gathered the
+    /// walk stops descending: skipped slots are *not* logged, which is sound
+    /// because the in-order walk guarantees they only cover keys beyond the
+    /// last collected one (see `try_fast_collect_limited`).
     fn walk_collect_slot<'g>(
         &self,
-        slot: &'g Atomic<Node<K, V, A>>,
-        min: &K,
-        max: &K,
-        limit: usize,
-        out: &mut Vec<(K, V)>,
-        early_exit: &mut bool,
-        log: &mut ReadLog<'g, K, V, A>,
+        slot: &'g Atomic<Node<K, V, A, R>>,
+        walk: &mut CollectWalk<'_, K, V>,
+        log: &mut ReadLog<'g, K, V, A, R>,
         guard: &'g Guard,
     ) -> Option<()> {
-        if out.len() >= limit {
-            *early_exit = true;
+        if walk.out.len() >= walk.limit {
+            walk.early_exit = true;
             return Some(());
         }
         // ORDERING: Acquire pairs with the AcqRel child-slot CASes.
-        // SAFETY: `child` is epoch-protected under `guard`.
         let child = slot.load(Acquire, guard);
-        // SAFETY: as above.
+        // SAFETY: `child` is epoch-protected under `guard`.
         match unsafe { child.deref() } {
             Node::Inner(inner) => {
-                if !inner.queue.is_empty(guard) {
-                    return None;
+                log.descend(inner, guard)?;
+                let (min, max) = (walk.bounds.min, walk.bounds.max);
+                let steps = R::split(&inner.route, R::root_mode(*min, *max), min, max);
+                for (right, step) in [false, true].into_iter().zip(steps) {
+                    if !matches!(step, Step::Skip) {
+                        self.walk_collect_slot(inner.child(right), walk, log, guard)?;
+                    }
                 }
-                log.descended.push((inner, inner.load_state_shared(guard)));
-                if min < &inner.rsm {
-                    self.walk_collect_slot(
-                        &inner.left,
-                        min,
-                        max,
-                        limit,
-                        out,
-                        early_exit,
-                        log,
-                        guard,
-                    )?;
-                }
-                if max >= &inner.rsm {
-                    self.walk_collect_slot(
-                        &inner.right,
-                        min,
-                        max,
-                        limit,
-                        out,
-                        early_exit,
-                        log,
-                        guard,
-                    )?;
-                }
-                Some(())
             }
             Node::Leaf(leaf) => {
                 log.slots.push((slot, child));
-                if min <= &leaf.key && &leaf.key <= max {
-                    out.push((leaf.key, leaf.value.clone()));
+                if walk.bounds.admits(&leaf.key) {
+                    walk.out.push((leaf.key, leaf.value.clone()));
                 }
-                Some(())
             }
-            Node::Empty(_) => {
-                log.slots.push((slot, child));
-                Some(())
-            }
+            Node::Empty(_) => log.slots.push((slot, child)),
         }
+        Some(())
     }
+}
+
+/// The state of one limit-bounded collect walk.
+struct CollectWalk<'a, K, V> {
+    bounds: Bounds<'a, K>,
+    limit: usize,
+    out: Vec<(K, V)>,
+    /// Set when the limit cut the walk short.
+    early_exit: bool,
 }

@@ -1,15 +1,16 @@
 //! The public concurrent tree type.
 
-use crossbeam_epoch::Atomic;
+use crossbeam_epoch::{Atomic, Guard};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wft_queue::PresenceIndex;
+use wft_queue::{PresenceIndex, Timestamp};
 use wft_seq::{Augmentation, Key, Size, Value};
 
 use crate::config::{ReadPath, RootQueueKind, TreeConfig, TreeCounters, TreeStats};
-use crate::descriptor::OpKind;
-use crate::node::{build_subtree, collect_subtree, free_subtree_now, IdAllocator, Node};
+use crate::descriptor::{OpKind, OpRef};
+use crate::node::{collect_subtree, free_subtree_now, IdAllocator, Node};
 use crate::rootq::RootQueue;
+use crate::routing::{Bst, Routing, SlotAt};
 
 /// A linearizable concurrent ordered set/map with wait-free operations and
 /// `O(log N)`-time aggregate range queries.
@@ -32,9 +33,11 @@ use crate::rootq::RootQueue;
 ///   ([`RootQueueKind::WaitFree`]) every operation completes in a bounded
 ///   number of steps.
 ///
-/// The tree is generic over the key, the value and the
-/// [`Augmentation`] maintained in inner nodes; the defaults (`V = ()`,
-/// `A = Size`) give the plain integer-set interface evaluated in the paper.
+/// The tree is generic over the key, the value, the [`Augmentation`]
+/// maintained in inner nodes and the [`Routing`] policy that gives the tree
+/// its shape; the defaults (`V = ()`, `A = Size`, `R = Bst`) give the plain
+/// integer-set BST evaluated in the paper. The helping engine is the same
+/// for every policy: `wft-trie` instantiates it with bit routing.
 ///
 /// # Example
 ///
@@ -50,9 +53,9 @@ use crate::rootq::RootQueue;
 /// tree.remove(&7);
 /// assert_eq!(tree.count(0, 10), 1);
 /// ```
-pub struct WaitFreeTree<K: Key, V: Value = (), A: Augmentation<K, V> = Size> {
-    pub(crate) root_queue: RootQueue<crate::descriptor::OpRef<K, V, A>>,
-    pub(crate) root_child: Atomic<Node<K, V, A>>,
+pub struct WaitFreeTree<K: Key, V: Value = (), A: Augmentation<K, V> = Size, R: Routing<K> = Bst> {
+    pub(crate) root_queue: RootQueue<OpRef<K, V, A, R>>,
+    pub(crate) root_child: Atomic<Node<K, V, A, R>>,
     pub(crate) presence: PresenceIndex<K, V>,
     pub(crate) ids: IdAllocator,
     pub(crate) config: TreeConfig,
@@ -72,18 +75,24 @@ pub struct WaitFreeTree<K: Key, V: Value = (), A: Augmentation<K, V> = Size> {
 // SAFETY: the tree owns its nodes, queues and presence index; all shared
 // mutation goes through atomics/epoch pointers, and the `Key`/`Value`
 // bounds require `Send + Sync + 'static` for the payload.
-unsafe impl<K: Key, V: Value, A: Augmentation<K, V>> Send for WaitFreeTree<K, V, A> {}
+unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Send
+    for WaitFreeTree<K, V, A, R>
+{
+}
 // SAFETY: same argument as `Send` — shared access only follows
 // atomically-published, epoch-protected pointers.
-unsafe impl<K: Key, V: Value, A: Augmentation<K, V>> Sync for WaitFreeTree<K, V, A> {}
+unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Sync
+    for WaitFreeTree<K, V, A, R>
+{
+}
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> Default for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Default for WaitFreeTree<K, V, A, R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> WaitFreeTree<K, V, A, R> {
     /// Creates an empty tree with the default configuration (lock-free root
     /// queue, rebuild factor 1).
     pub fn new() -> Self {
@@ -99,9 +108,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         };
         WaitFreeTree {
             root_queue,
-            root_child: Atomic::new(Node::empty(wft_queue::Timestamp::ZERO)),
+            root_child: Atomic::new(Node::empty(Timestamp::ZERO)),
             presence: PresenceIndex::with_buckets(config.presence_buckets),
-            ids: IdAllocator::new(),
+            ids: IdAllocator::default(),
             config,
             counters: TreeCounters::default(),
             len: AtomicU64::new(0),
@@ -110,16 +119,16 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         }
     }
 
-    /// Builds a tree containing `entries` (duplicates keep the first value),
-    /// perfectly balanced, with the default configuration.
+    /// Builds a tree containing `entries` (duplicates keep the first value)
+    /// with the default configuration; the BST comes out perfectly
+    /// balanced.
     pub fn from_entries<I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
         Self::from_entries_with_config(entries, TreeConfig::default())
     }
 
-    /// Builds a pre-populated, perfectly balanced tree with an explicit
-    /// configuration. This is how the benchmark harness creates the
-    /// pre-filled trees of the paper's experiments without paying one queue
-    /// round-trip per initial key.
+    /// Builds a pre-populated tree with an explicit configuration. This is
+    /// how the benchmark harness creates the pre-filled trees of the paper's
+    /// experiments without paying one queue round-trip per initial key.
     pub fn from_entries_with_config<I: IntoIterator<Item = (K, V)>>(
         entries: I,
         config: TreeConfig,
@@ -132,7 +141,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         for (key, value) in &sorted {
             tree.presence.prefill(*key, value.clone(), &guard);
         }
-        let (root, _agg) = build_subtree::<K, V, A>(&sorted, wft_queue::Timestamp::ZERO, &tree.ids);
+        let (root, _agg) = R::build::<V, A>(None, &sorted, Timestamp::ZERO, &tree.ids);
         // The tree is still private to this thread: a plain store is fine and
         // the initial Empty placeholder can be freed immediately.
         // ORDERING: AcqRel out of caution only — the tree is still private to this
@@ -141,7 +150,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         let old = tree
             .root_child
             .swap(crossbeam_epoch::Owned::new(root), Ordering::AcqRel, &guard);
-        free_subtree_now(old);
+        // SAFETY: the tree is still private to this thread, so nothing else can
+        // reach the placeholder that was just swapped out.
+        unsafe { free_subtree_now(old) };
         tree.len.store(sorted.len() as u64, Ordering::Relaxed);
         tree
     }
@@ -231,17 +242,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
             return A::identity();
         }
         if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for attempt in 1..=self.config.fast_read_attempts {
-                if let Some(agg) = self.try_fast_range_agg(min, max, &guard) {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    return agg;
-                }
-                // A failed validation usually means one in-flight update; a
-                // bounded retry beats paying the descriptor slow path.
-                if attempt < self.config.fast_read_attempts {
-                    TreeCounters::bump(&self.counters.fast_range_retries);
-                }
+            if let Some(agg) =
+                self.optimistic(None, |guard| self.try_fast_range_agg(min, max, guard))
+            {
+                return agg;
             }
             self.note_range_fallback();
         }
@@ -255,24 +259,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// Attempts the same optimistic descriptor-free traversal as
     /// [`range_agg`](WaitFreeTree::range_agg) under [`ReadPath::Fast`].
     pub fn collect_range(&self, min: K, max: K) -> Vec<(K, V)> {
-        if min > max {
-            return Vec::new();
-        }
-        if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for attempt in 1..=self.config.fast_read_attempts {
-                if let Some(entries) = self.try_fast_collect(min, max, &guard) {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    return entries;
-                }
-                if attempt < self.config.fast_read_attempts {
-                    TreeCounters::bump(&self.counters.fast_range_retries);
-                }
-            }
-            self.note_range_fallback();
-        }
-        let (op, _ts) = self.run_operation(OpKind::Collect { min, max });
-        op.assemble_entries()
+        self.collect_range_limited(min, max, usize::MAX)
     }
 
     /// The (up to) `limit` smallest entries with key in `[min, max]`, in key
@@ -292,20 +279,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
             return Vec::new();
         }
         if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for attempt in 1..=self.config.fast_read_attempts {
-                if let Some((entries, early_exit)) =
-                    self.try_fast_collect_limited(min, max, limit, &guard)
-                {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    if early_exit {
-                        TreeCounters::bump(&self.counters.fast_range_early_exits);
-                    }
-                    return entries;
-                }
-                if attempt < self.config.fast_read_attempts {
-                    TreeCounters::bump(&self.counters.fast_range_retries);
-                }
+            if let Some(entries) = self.optimistic(None, |guard| {
+                self.try_fast_collect_limited_counted(min, max, limit, guard)
+            }) {
+                return entries;
             }
             self.note_range_fallback();
         }
@@ -336,6 +313,55 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         self.counters.snapshot()
     }
 
+    /// Runs up to [`TreeConfig::fast_read_attempts`] optimistic attempts of
+    /// a range read, counting the hit and the retries; `None` when every
+    /// attempt failed validation. A plain read counts a retry only when
+    /// another attempt follows (a failed validation usually means one
+    /// in-flight update, so a bounded retry beats paying the descriptor
+    /// slow path). A read anchored at `front` counts every failed attempt
+    /// and gives up as soon as the front expired.
+    fn optimistic<T>(
+        &self,
+        front: Option<Timestamp>,
+        mut attempt: impl FnMut(&Guard) -> Option<T>,
+    ) -> Option<T> {
+        let guard = crossbeam_epoch::pin();
+        let attempts = self.config.fast_read_attempts;
+        for n in 1..=attempts {
+            if let Some(out) = attempt(&guard) {
+                TreeCounters::bump(&self.counters.fast_range_hits);
+                return Some(out);
+            }
+            match front {
+                Some(front) => {
+                    TreeCounters::bump(&self.counters.fast_range_retries);
+                    if !self.front_unchanged(front) {
+                        return None;
+                    }
+                }
+                None if n < attempts => TreeCounters::bump(&self.counters.fast_range_retries),
+                None => {}
+            }
+        }
+        None
+    }
+
+    /// [`Self::try_fast_collect_limited`], counting a walk that the limit cut
+    /// short in [`TreeStats::fast_range_early_exits`].
+    fn try_fast_collect_limited_counted(
+        &self,
+        min: K,
+        max: K,
+        limit: usize,
+        guard: &Guard,
+    ) -> Option<Vec<(K, V)>> {
+        let (entries, early_exit) = self.try_fast_collect_limited(min, max, limit, guard)?;
+        if early_exit {
+            TreeCounters::bump(&self.counters.fast_range_early_exits);
+        }
+        Some(entries)
+    }
+
     /// Counts a descriptor-path fallback and drops a timeline event into
     /// the global trace ring: fallbacks are the tree's per-read anomaly
     /// signal, and a burst of them is exactly what a post-mortem needs to
@@ -356,12 +382,12 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// Updates resolve strictly in root-queue order (only the queue head is
     /// resolved), so this single number is a complete description of the
     /// linearized prefix. Read descriptors never advance it.
-    pub fn stable_ts(&self) -> wft_queue::Timestamp {
+    pub fn stable_ts(&self) -> Timestamp {
         // ORDERING: pairs with the SeqCst `resolved_ts` fetch_max in
         // `resolve_update`; the watermark read must be totally ordered against
         // every helper's bump.
         // wft-lint: allow(seqcst) -- the stable watermark is only meaningful in the single total order the SeqCst resolve bumps establish.
-        wft_queue::Timestamp(self.resolved_ts.load(Ordering::SeqCst))
+        Timestamp(self.resolved_ts.load(Ordering::SeqCst))
     }
 
     /// The **advertised watermark**: the latest update timestamp whose
@@ -369,11 +395,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// can be observed by any read, which is what makes "advertised watermark
     /// unchanged across a window" mean "no update became visible inside the
     /// window" — the validation rule of the snapshot front.
-    pub fn advertised_ts(&self) -> wft_queue::Timestamp {
+    pub fn advertised_ts(&self) -> Timestamp {
         // ORDERING: pairs with the SeqCst `advertised_ts` fetch_max in
         // `resolve_update` (advertise-before-resolve).
         // wft-lint: allow(seqcst) -- the snapshot-front proof needs the advertise bump, the update's effects and this read in one total order.
-        wft_queue::Timestamp(self.advertised_ts.load(Ordering::SeqCst))
+        Timestamp(self.advertised_ts.load(Ordering::SeqCst))
     }
 
     /// Acquires a **settled front**: a watermark observed at an instant with
@@ -386,7 +412,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// A front returned here is the anchor of a snapshot read: as long as
     /// [`advertised_ts`](WaitFreeTree::advertised_ts) still equals it, the
     /// tree's abstract state is unchanged since the acquisition instant.
-    pub fn settle_front(&self) -> wft_queue::Timestamp {
+    pub fn settle_front(&self) -> Timestamp {
         let guard = crossbeam_epoch::pin();
         loop {
             // ORDERING: pairs with the SeqCst advertise bump in `resolve_update`.
@@ -400,7 +426,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                 // ORDERING: re-validates `advertised` in the same total order.
                 // wft-lint: allow(seqcst) -- an advertise between the two reads must be impossible to miss, which only the SeqCst total order guarantees.
                 if self.advertised_ts.load(Ordering::SeqCst) == advertised {
-                    return wft_queue::Timestamp(advertised);
+                    return Timestamp(advertised);
                 }
             } else if let Some((head_ts, head_op)) = self.root_queue.peek(&guard) {
                 // An update is mid-linearization; it sits at the root-queue
@@ -417,11 +443,19 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
 
     /// `true` while no update has begun linearizing past `front` — the
     /// validation half of the snapshot sandwich.
-    pub fn front_unchanged(&self, front: wft_queue::Timestamp) -> bool {
+    pub fn front_unchanged(&self, front: Timestamp) -> bool {
         // ORDERING: pairs with the SeqCst advertise bump in `resolve_update` — an
         // unchanged advertised watermark proves no update began linearizing.
         // wft-lint: allow(seqcst) -- the validation must observe every advertise bump that could have made an update visible inside the window; needs the total order.
         self.advertised_ts.load(Ordering::SeqCst) == front.get()
+    }
+
+    /// `true` while the tree is still exactly at the settled `front`: fully
+    /// resolved up to it and nothing advertised past it.
+    fn at_front(&self, front: Timestamp) -> bool {
+        // ORDERING: pairs with the SeqCst resolve bump in `resolve_update`.
+        // wft-lint: allow(seqcst) -- front anchoring compares both SeqCst watermarks; a weaker read could see a stale resolved value and accept an expired front.
+        self.resolved_ts.load(Ordering::SeqCst) == front.get() && self.front_unchanged(front)
     }
 
     /// [`range_agg`](WaitFreeTree::range_agg) **at** a settled front: returns
@@ -443,72 +477,27 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// The front checks before and after the read prove its linearization
     /// instant fell inside a window in which the state was constant and
     /// equal to the state at `front`.
-    pub fn range_agg_at_front(
-        &self,
-        min: K,
-        max: K,
-        front: wft_queue::Timestamp,
-    ) -> Option<A::Agg> {
-        // ORDERING: pairs with the SeqCst resolve bump in `resolve_update`.
-        // wft-lint: allow(seqcst) -- front anchoring compares both SeqCst watermarks; a weaker read could see a stale resolved value and accept an expired front.
-        if self.resolved_ts.load(Ordering::SeqCst) != front.get() || !self.front_unchanged(front) {
+    pub fn range_agg_at_front(&self, min: K, max: K, front: Timestamp) -> Option<A::Agg> {
+        if !self.at_front(front) {
             return None;
         }
-        if min > max {
-            return Some(A::identity());
-        }
-        if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for _ in 0..self.config.fast_read_attempts {
-                if let Some(agg) = self.try_fast_range_agg(min, max, &guard) {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    return self.front_unchanged(front).then_some(agg);
-                }
-                TreeCounters::bump(&self.counters.fast_range_retries);
-                if !self.front_unchanged(front) {
-                    return None;
-                }
-            }
-            return None;
-        }
-        let agg = self.range_agg(min, max);
+        let agg = if min > max {
+            A::identity()
+        } else if self.config.read_path == ReadPath::Fast {
+            self.optimistic(Some(front), |guard| {
+                self.try_fast_range_agg(min, max, guard)
+            })?
+        } else {
+            self.range_agg(min, max)
+        };
         self.front_unchanged(front).then_some(agg)
     }
 
     /// [`collect_range`](WaitFreeTree::collect_range) at a settled front; see
     /// [`range_agg_at_front`](WaitFreeTree::range_agg_at_front) — including
     /// the optimistic-only read discipline under [`ReadPath::Fast`].
-    pub fn collect_range_at_front(
-        &self,
-        min: K,
-        max: K,
-        front: wft_queue::Timestamp,
-    ) -> Option<Vec<(K, V)>> {
-        // ORDERING: pairs with the SeqCst resolve bump in `resolve_update`; see
-        // `range_agg_at_front`.
-        // wft-lint: allow(seqcst) -- same total-order argument as range_agg_at_front.
-        if self.resolved_ts.load(Ordering::SeqCst) != front.get() || !self.front_unchanged(front) {
-            return None;
-        }
-        if min > max {
-            return Some(Vec::new());
-        }
-        if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for _ in 0..self.config.fast_read_attempts {
-                if let Some(entries) = self.try_fast_collect(min, max, &guard) {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    return self.front_unchanged(front).then_some(entries);
-                }
-                TreeCounters::bump(&self.counters.fast_range_retries);
-                if !self.front_unchanged(front) {
-                    return None;
-                }
-            }
-            return None;
-        }
-        let entries = self.collect_range(min, max);
-        self.front_unchanged(front).then_some(entries)
+    pub fn collect_range_at_front(&self, min: K, max: K, front: Timestamp) -> Option<Vec<(K, V)>> {
+        self.collect_range_limited_at_front(min, max, usize::MAX, front)
     }
 
     /// [`collect_range_limited`](WaitFreeTree::collect_range_limited) at a
@@ -522,37 +511,20 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         min: K,
         max: K,
         limit: usize,
-        front: wft_queue::Timestamp,
+        front: Timestamp,
     ) -> Option<Vec<(K, V)>> {
-        // ORDERING: pairs with the SeqCst resolve bump in `resolve_update`; see
-        // `range_agg_at_front`.
-        // wft-lint: allow(seqcst) -- same total-order argument as range_agg_at_front.
-        if self.resolved_ts.load(Ordering::SeqCst) != front.get() || !self.front_unchanged(front) {
+        if !self.at_front(front) {
             return None;
         }
-        if min > max || limit == 0 {
-            return Some(Vec::new());
-        }
-        if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for _ in 0..self.config.fast_read_attempts {
-                if let Some((entries, early_exit)) =
-                    self.try_fast_collect_limited(min, max, limit, &guard)
-                {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    if early_exit {
-                        TreeCounters::bump(&self.counters.fast_range_early_exits);
-                    }
-                    return self.front_unchanged(front).then_some(entries);
-                }
-                TreeCounters::bump(&self.counters.fast_range_retries);
-                if !self.front_unchanged(front) {
-                    return None;
-                }
-            }
-            return None;
-        }
-        let entries = self.collect_range_limited(min, max, limit);
+        let entries = if min > max || limit == 0 {
+            Vec::new()
+        } else if self.config.read_path == ReadPath::Fast {
+            self.optimistic(Some(front), |guard| {
+                self.try_fast_collect_limited_counted(min, max, limit, guard)
+            })?
+        } else {
+            self.collect_range_limited(min, max, limit)
+        };
         self.front_unchanged(front).then_some(entries)
     }
 
@@ -572,24 +544,23 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         out
     }
 
-    /// Validates the structural invariants of the tree: routing intervals,
-    /// augmentation freshness of every inner node, emptiness of every
-    /// descriptor queue, agreement between the stored length, the presence
-    /// index and the physical leaves.
+    /// Validates the structural invariants of the tree: the routing
+    /// policy's route check at every inner node, augmentation freshness of
+    /// every inner node, emptiness of every descriptor queue, agreement
+    /// between the stored length, the presence index and the physical
+    /// leaves.
     ///
     /// **Quiescent only**; panics on violation. Intended for tests.
     pub fn check_invariants(&self) {
         let guard = crossbeam_epoch::pin();
         // ORDERING: Acquire pairs with the AcqRel child-slot CASes; quiescent use.
         let root = self.root_child.load(Ordering::Acquire, &guard);
-        let n = check_node::<K, V, A>(root, None, None, &guard);
+        let entries = check_node::<K, V, A, R>(root, None, &guard);
         assert_eq!(
-            n,
+            entries.len() as u64,
             self.len(),
             "cached length diverged from the physical leaf count"
         );
-        let mut entries = Vec::new();
-        collect_subtree(root, &mut entries, &guard);
         for (key, _) in &entries {
             assert!(
                 self.presence.is_present(key, &guard),
@@ -599,7 +570,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     }
 }
 
-impl<K: Key, V: Value> WaitFreeTree<K, V, Size> {
+impl<K: Key, V: Value, R: Routing<K>> WaitFreeTree<K, V, Size, R> {
     /// Number of keys in `[min, max]` — the paper's headline `count` query,
     /// running in `O(log N + |P|)` amortized time.
     pub fn count(&self, min: K, max: K) -> u64 {
@@ -607,65 +578,57 @@ impl<K: Key, V: Value> WaitFreeTree<K, V, Size> {
     }
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> Drop for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>> Drop for WaitFreeTree<K, V, A, R> {
     fn drop(&mut self) {
         // Exclusive access: free the whole tree. Queues, the presence index
         // and the root queue free themselves through their own Drop impls.
         // SAFETY: `drop` takes `&mut self`, so no other thread can reach the tree;
         // the unprotected guard and immediate free are sound.
-        let root = self
-            .root_child
-            .load(Ordering::Relaxed, unsafe { crossbeam_epoch::unprotected() });
-        free_subtree_now(root);
+        unsafe {
+            let root = self
+                .root_child
+                .load(Ordering::Relaxed, crossbeam_epoch::unprotected());
+            free_subtree_now(root);
+        }
     }
 }
 
-/// Recursive invariant checker (quiescent).
-fn check_node<K: Key, V: Value, A: Augmentation<K, V>>(
-    node: crossbeam_epoch::Shared<'_, Node<K, V, A>>,
-    lo: Option<&K>,
-    hi: Option<&K>,
-    guard: &crossbeam_epoch::Guard,
-) -> u64 {
+/// Recursive invariant checker (quiescent): checks the subtree in slot `at`
+/// and returns its entries in key order.
+fn check_node<K: Key, V: Value, A: Augmentation<K, V>, R: Routing<K>>(
+    node: crossbeam_epoch::Shared<'_, Node<K, V, A, R>>,
+    at: SlotAt<'_, R::Route>,
+    guard: &Guard,
+) -> Vec<(K, V)> {
     if node.is_null() {
-        return 0;
+        return Vec::new();
     }
     // SAFETY: quiescent walk — `node` came from the root slot (or a child
     // slot) under `guard` and nothing is being retired concurrently.
     match unsafe { node.deref() } {
-        Node::Empty(_) => 0,
-        Node::Leaf(leaf) => {
-            if let Some(lo) = lo {
-                assert!(&leaf.key >= lo, "leaf key below its routing interval");
-            }
-            if let Some(hi) = hi {
-                assert!(&leaf.key < hi, "leaf key above its routing interval");
-            }
-            1
-        }
+        Node::Empty(_) => Vec::new(),
+        Node::Leaf(leaf) => vec![(leaf.key, leaf.value.clone())],
         Node::Inner(inner) => {
             assert!(
                 inner.queue.is_empty(guard),
                 "descriptor queue not empty in a quiescent tree"
             );
-            let nl = check_node::<K, V, A>(
+            let mut entries = check_node::<K, V, A, R>(
                 // ORDERING: Acquire pairs with the AcqRel child-slot CASes; quiescent use.
                 inner.left.load(Ordering::Acquire, guard),
-                lo,
-                Some(&inner.rsm),
+                Some((&inner.route, false)),
                 guard,
             );
-            let nr = check_node::<K, V, A>(
+            let right = check_node::<K, V, A, R>(
                 // ORDERING: as above, for the right child.
                 inner.right.load(Ordering::Acquire, guard),
-                Some(&inner.rsm),
-                hi,
+                Some((&inner.route, true)),
                 guard,
             );
+            R::check_route(at, &inner.route, &entries, &right);
+            entries.extend(right);
             // The stored aggregate must equal the aggregate recomputed from
             // the leaves below.
-            let mut entries = Vec::new();
-            collect_subtree(node, &mut entries, guard);
             let expect = entries
                 .iter()
                 .fold(A::identity(), |acc, (k, v)| A::insert_delta(&acc, k, v));
@@ -674,7 +637,7 @@ fn check_node<K: Key, V: Value, A: Augmentation<K, V>>(
                 &expect,
                 "stored augmentation value is stale"
             );
-            nl + nr
+            entries
         }
     }
 }
@@ -742,18 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn from_entries_builds_working_tree() {
-        let tree: WaitFreeTree<i64, i64> =
-            WaitFreeTree::from_entries((0..1000).map(|k| (k, k * 2)));
-        assert_eq!(tree.len(), 1000);
-        assert_eq!(tree.get(&500), Some(1000));
-        assert!(!tree.insert(500, 0), "prefilled keys are present");
-        assert!(tree.remove(&500));
-        assert_eq!(tree.len(), 999);
-        tree.check_invariants();
-    }
-
-    #[test]
     fn rebuilds_keep_the_tree_usable() {
         let cfg = TreeConfig {
             rebuild_factor: 0.5,
@@ -786,37 +737,6 @@ mod tests {
         }
         assert_eq!(tree.count(0, 499), 500);
         assert_eq!(tree.len(), 500);
-        tree.check_invariants();
-    }
-
-    #[test]
-    fn stats_track_updates() {
-        let tree: WaitFreeTree<i64> = WaitFreeTree::new();
-        tree.insert(1, ());
-        tree.insert(1, ());
-        tree.insert(2, ());
-        tree.remove(&1);
-        tree.remove(&3);
-        let stats = tree.stats();
-        assert_eq!(stats.inserts, 2);
-        assert_eq!(stats.removes, 1);
-        assert_eq!(stats.failed_updates, 2);
-    }
-
-    #[test]
-    fn insert_or_replace_single_thread() {
-        let tree: WaitFreeTree<i64, String> = WaitFreeTree::new();
-        assert_eq!(tree.insert_or_replace(1, "one".into()), None);
-        assert_eq!(tree.len(), 1);
-        assert_eq!(
-            tree.insert_or_replace(1, "uno".into()),
-            Some("one".to_string())
-        );
-        assert_eq!(tree.len(), 1, "an overwrite must not change the length");
-        assert_eq!(tree.get(&1), Some("uno".to_string()));
-        assert_eq!(tree.remove_entry(&1), Some("uno".to_string()));
-        assert_eq!(tree.insert_or_replace(1, "ein".into()), None);
-        assert_eq!(tree.stats().replaces, 3);
         tree.check_invariants();
     }
 
@@ -858,44 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn both_read_paths_answer_identically_single_thread() {
-        let fast_cfg = TreeConfig::default();
-        let desc_cfg = TreeConfig {
-            read_path: ReadPath::Descriptor,
-            ..TreeConfig::default()
-        };
-        assert_eq!(fast_cfg.read_path, ReadPath::Fast, "fast is the default");
-        let entries: Vec<(i64, i64)> = (0..300).step_by(3).map(|k| (k, k * 10)).collect();
-        let fast: WaitFreeTree<i64, i64> =
-            WaitFreeTree::from_entries_with_config(entries.clone(), fast_cfg);
-        let desc: WaitFreeTree<i64, i64> =
-            WaitFreeTree::from_entries_with_config(entries, desc_cfg);
-        for tree in [&fast, &desc] {
-            tree.insert(1, 11);
-            tree.remove(&3);
-            tree.insert_or_replace(6, -60);
-        }
-        for k in [-1, 0, 1, 2, 3, 6, 9, 298, 299, 500] {
-            assert_eq!(fast.get(&k), desc.get(&k), "get({k})");
-            assert_eq!(fast.contains(&k), desc.contains(&k), "contains({k})");
-        }
-        for (min, max) in [(0, 299), (10, 50), (-5, 4), (200, 600), (7, 7), (9, 3)] {
-            assert_eq!(
-                fast.count(min, max),
-                desc.count(min, max),
-                "count [{min},{max}]"
-            );
-            assert_eq!(
-                fast.collect_range(min, max),
-                desc.collect_range(min, max),
-                "collect [{min},{max}]"
-            );
-        }
-        fast.check_invariants();
-        desc.check_invariants();
-    }
-
-    #[test]
     fn fast_read_counters_track_hits() {
         let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..100).map(|k| (k, ())));
         assert!(tree.contains(&5));
@@ -921,28 +803,6 @@ mod tests {
         let stats = desc.stats();
         assert_eq!(stats.fast_point_reads, 0, "descriptor path counts nothing");
         assert_eq!(stats.fast_range_hits, 0);
-    }
-
-    #[test]
-    fn timestamp_front_tracks_updates() {
-        let tree: WaitFreeTree<i64> = WaitFreeTree::new();
-        assert_eq!(tree.stable_ts(), wft_queue::Timestamp::ZERO);
-        let front = tree.settle_front();
-        assert!(tree.front_unchanged(front));
-
-        tree.insert(1, ());
-        assert!(!tree.front_unchanged(front), "an update advances the front");
-        // Failed updates linearize too (they occupy a timestamp).
-        let front = tree.settle_front();
-        tree.insert(1, ());
-        assert!(!tree.front_unchanged(front));
-        // Read-only operations never advance the front.
-        let front = tree.settle_front();
-        tree.contains(&1);
-        tree.count(0, 10);
-        tree.collect_range(0, 10);
-        assert!(tree.front_unchanged(front));
-        assert_eq!(tree.stable_ts(), tree.advertised_ts());
     }
 
     #[test]

@@ -180,13 +180,34 @@ pub fn run(root: &Path, cfg: &Config) -> std::io::Result<Outcome> {
 
 /// Loads `lint.toml` from the workspace root (an empty policy if the
 /// file is absent — rules 1, 2 and 4 still apply).
+///
+/// A `[[forbidden]]` path that is a prefix of no scanned source file is a
+/// config error: the rule would silently cover nothing (say, after the
+/// file it names was deleted or its code moved).
 pub fn load_config(root: &Path) -> Result<Config, String> {
     let path = root.join("lint.toml");
-    match std::fs::read_to_string(&path) {
-        Ok(src) => config::parse(&src),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Config::default()),
-        Err(e) => Err(format!("reading {}: {e}", path.display())),
+    let cfg = match std::fs::read_to_string(&path) {
+        Ok(src) => config::parse(&src)?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Config::default()),
+        Err(e) => return Err(format!("reading {}: {e}", path.display())),
+    };
+    let sources: Vec<String> = workspace_sources(root)
+        .map_err(|e| format!("scanning {}: {e}", root.display()))?
+        .iter()
+        .map(|source| rel_path(root, source))
+        .collect();
+    for rule in &cfg.forbidden {
+        for prefix in &rule.paths {
+            if !sources.iter().any(|s| s.starts_with(prefix.as_str())) {
+                return Err(format!(
+                    "{}: rule `{}` names path `{prefix}`, which matches no scanned source file",
+                    path.display(),
+                    rule.name
+                ));
+            }
+        }
     }
+    Ok(cfg)
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Self-tests over the checked-in fixture workspaces in
 //! `tests/fixtures/`: the broken fixture must trip every rule (and make
 //! the binary exit nonzero), the clean fixture must pass with its
-//! waivers inventoried.
+//! waivers inventoried, and the stale-path fixture's policy, which names a
+//! file that does not exist, must be rejected as a config error.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -69,6 +70,23 @@ fn clean_fixture_passes_with_waivers_inventoried() {
     // Acquire/Release/SeqCst lines).
     assert_eq!(outcome.unsafe_sites.len(), 2);
     assert!(outcome.ordering_sites.len() >= 3);
+}
+
+#[test]
+fn unmatched_rule_path_is_a_config_error() {
+    let root = fixture_root("stale-path");
+    let err = wft_lint::load_config(&root).expect_err("a path naming no file must be rejected");
+    assert!(
+        err.contains("crates/gone/src/tree.rs") && err.contains("no-wall-clock"),
+        "the error names the rule and the stale path: {err}"
+    );
+    let bin = env!("CARGO_BIN_EXE_wft-lint");
+    let status = Command::new(bin)
+        .args(["--check", "--root"])
+        .arg(&root)
+        .status()
+        .expect("wft-lint runs");
+    assert_eq!(status.code(), Some(2), "a config error exits with status 2");
 }
 
 #[test]

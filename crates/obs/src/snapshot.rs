@@ -5,7 +5,8 @@
 //! samples, gauge samples and histogram snapshots. Snapshots support the
 //! **delta arithmetic** benches and watchdogs need —
 //! [`MetricsSnapshot::delta_since`] subtracts an earlier snapshot of the
-//! same instruments, turning cumulative counters into per-window rates —
+//! same instruments, turning cumulative counters into per-window rates
+//! while gauges keep their level —
 //! and export as either JSON (embedded verbatim in the committed
 //! `BENCH_*.json` reports) or the Prometheus text exposition format
 //! ([`MetricsSnapshot::to_prometheus`]).
@@ -109,10 +110,11 @@ impl MetricsSnapshot {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Per-window difference `self - earlier`, matched by name: counters
-    /// subtract saturating (a metric absent from `earlier` counts from 0),
-    /// gauges subtract signed, histograms subtract bucket-wise. Metrics
-    /// only present in `earlier` are dropped — the delta describes what
+    /// The window from `earlier` to `self`, matched by name: counters
+    /// subtract saturating (a metric absent from `earlier` counts from 0)
+    /// and histograms subtract bucket-wise, but gauges are levels, so a
+    /// window reports the later snapshot's gauge value unchanged. Metrics
+    /// only present in `earlier` are dropped — the window describes what
     /// `self` can still see.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -126,14 +128,7 @@ impl MetricsSnapshot {
                         .saturating_sub(earlier.counter(&c.name).unwrap_or(0)),
                 })
                 .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|g| GaugeSample {
-                    name: g.name.clone(),
-                    value: g.value - earlier.gauge(&g.name).unwrap_or(0),
-                })
-                .collect(),
+            gauges: self.gauges.clone(),
             histograms: self
                 .histograms
                 .iter()
@@ -236,7 +231,8 @@ mod tests {
         earlier.push_gauge("store_len", -10);
         let delta = sample().delta_since(&earlier);
         assert_eq!(delta.counter("tree_inserts"), Some(6));
-        assert_eq!(delta.gauge("store_len"), Some(7));
+        // Gauges are levels: the window carries the later value.
+        assert_eq!(delta.gauge("store_len"), Some(-3));
         // Histogram absent from `earlier` passes through whole.
         assert_eq!(delta.histogram("op_latency_ns").unwrap().count, 2);
     }

@@ -8,7 +8,7 @@
 //! diverge near the root (a `u8` key space needs at most 8 routing levels,
 //! not 64).
 
-use wft_seq::Key;
+use wft_core::Key;
 
 /// A key usable by the binary trie: totally ordered, with an order-preserving
 /// embedding into `u64`.

@@ -7,25 +7,25 @@
 //! crate carries the scheme over to a **binary trie over fixed-width integer
 //! keys** and shows that the concurrent machinery — per-node descriptor
 //! queues with monotone timestamps, helping, exactly-once CAS-guarded state
-//! updates, first-write-wins result assembly — is genuinely generic: it is
-//! reused verbatim from the [`wft_queue`] substrates, and only the routing
-//! and the structural updates are trie-specific.
+//! updates, first-write-wins result assembly — is genuinely generic.
 //!
-//! Compared to the BST of `wft-core`:
+//! It is not a second engine. The descriptor queues, helping, exactly-once
+//! state updates, fast read paths, timestamp front and `wft-api` impls are
+//! all `wft-core`'s [`WaitFreeTree`]; this crate only supplies the routing
+//! policy [`Bits`] that the engine is instantiated with
+//! ([`WaitFreeTrie`]` = WaitFreeTree<K, V, A, Bits>`), plus the routing
+//! record ([`Coverage`]) and the two subtree builders it needs:
 //!
-//! | aspect | BST (`wft-core`) | trie (this crate) |
+//! | aspect | BST (`wft_core::Bst`) | trie ([`Bits`]) |
 //! |--------|------------------|-------------------|
 //! | routing | stored `Right_Subtree_Min` keys | bits of an order-preserving 64-bit key index |
 //! | balance | subtree rebuilding (§II-E), amortized bounds | none needed — depth ≤ key width, worst-case bounds |
-//! | range queries | three border modes recorded per node | fixed per-node coverage intervals |
+//! | range queries | three border modes recorded per node | fixed per-node coverage intervals, nothing recorded |
+//! | leaf split | one routing node over two leaves | a divergence chain down to the first differing bit |
 //! | key types | any `Ord + Copy + Hash` | fixed-width integers ([`TrieKey`]) |
 //!
-//! The public interface mirrors [`wft_core::WaitFreeTree`]: `insert`,
-//! `remove`, `contains`, `get`, `count`, `range_agg`, `collect_range`, all
-//! linearizable, with aggregate range queries in time proportional to the key
-//! width rather than to the number of keys in the range.
-//!
-//! [`wft_core::WaitFreeTree`]: https://docs.rs/wft-core
+//! Configuration ([`TreeConfig`]), statistics ([`TreeStats`]) and the whole
+//! public interface are the tree's; metrics carry the `trie_` prefix.
 //!
 //! ## Example
 //!
@@ -54,21 +54,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod api;
-pub mod descriptor;
-pub mod exec;
 pub mod key;
 pub mod node;
-pub mod read;
 pub mod tree;
 
-pub use descriptor::OpKind;
 pub use key::TrieKey;
-pub use tree::{TrieStats, WaitFreeTrie};
+pub use node::Coverage;
+pub use tree::{Bits, WaitFreeTrie};
 
-// The read-path knob is shared with `wft-core` through the queue substrate
-// crate: both descriptor trees select their fast paths with it.
-pub use wft_queue::ReadPath;
-
-// Re-export the augmentation vocabulary for convenience.
-pub use wft_seq::{Augmentation, Pair, Size, Sum, Value};
+// The engine's vocabulary, for convenience.
+pub use wft_core::{
+    Augmentation, OpKind, Pair, ReadPath, Size, Sum, TreeConfig, TreeStats, Value, WaitFreeTree,
+};

@@ -1,85 +1,19 @@
-//! Trie nodes.
+//! Trie routing records and subtree builders.
 //!
-//! The concurrent trie uses the same per-node machinery as the main tree
-//! (`wft-core`): every inner node owns a timestamped descriptor queue and an
-//! immutable, CAS-swapped state record carrying the subtree aggregate. The
-//! difference is purely structural: routing follows the bits of the key's
-//! 64-bit index instead of a stored `Right_Subtree_Min`, so a node's subtree
-//! always covers a fixed, known key-index interval and no rebalancing is ever
-//! required (the depth is bounded by the key width).
+//! A trie node routes on one bit of the key's 64-bit index instead of on a
+//! stored `Right_Subtree_Min`, so its subtree always covers a fixed, known
+//! key-index interval (its [`Coverage`]) and no rebalancing is ever required
+//! (the depth is bounded by the key width). The nodes themselves — queue,
+//! immutable state record, child slots — are `wft-core`'s.
 
-use crossbeam_epoch::{Atomic, Guard, Shared};
-use std::sync::atomic::{AtomicU64, Ordering};
+use wft_core::node::{IdAllocator, InnerNode, LeafNode, Node};
+use wft_core::{Augmentation, Timestamp, Value};
 
-use wft_queue::{Timestamp, TsQueue};
-use wft_seq::{Augmentation, Value};
-
-use crate::descriptor::OpRef;
 use crate::key::TrieKey;
+use crate::tree::Bits;
 
-/// Unique identifier of an inner node (key of the per-operation `Processed`
-/// map). The fictive root uses id `0`.
-pub type NodeId = u64;
-
-/// Reserved [`NodeId`] of the fictive root.
-pub const FICTIVE_ROOT_ID: NodeId = 0;
-
-/// Allocates unique node identifiers.
-#[derive(Debug)]
-pub(crate) struct IdAllocator {
-    next: AtomicU64,
-}
-
-impl IdAllocator {
-    pub(crate) fn new() -> Self {
-        IdAllocator {
-            next: AtomicU64::new(FICTIVE_ROOT_ID + 1),
-        }
-    }
-
-    pub(crate) fn fresh(&self) -> NodeId {
-        self.next.fetch_add(1, Ordering::Relaxed)
-    }
-}
-
-/// The immutable state record of an inner node: the subtree aggregate plus
-/// the timestamp of the last operation that modified it (`Ts_Mod`, §II-C).
-#[derive(Debug)]
-pub struct NodeState<Agg> {
-    /// Augmentation value of the node's subtree, maintained eagerly top-down.
-    pub agg: Agg,
-    /// Timestamp of the last modifying operation.
-    pub ts_mod: Timestamp,
-}
-
-/// A leaf holding one data item.
-///
-/// Leaves are immutable; `created_ts` is the timestamp of the operation that
-/// physically installed the leaf (zero for bulk-built tries). Structural
-/// CASes are guarded by it: a stalled helper whose operation is older than
-/// the leaf it finds must not touch it, because its own structural change has
-/// already been applied by a faster helper and the slot has since been reused
-/// by later operations.
-#[derive(Debug)]
-pub struct LeafNode<K, V> {
-    /// The stored key.
-    pub key: K,
-    /// The associated value.
-    pub value: V,
-    /// Timestamp of the operation that created this leaf.
-    pub created_ts: Timestamp,
-}
-
-/// An empty position (removed leaf or never-populated branch), carrying the
-/// timestamp of the operation that created it for the same structural-CAS
-/// guard as [`LeafNode::created_ts`].
-#[derive(Debug)]
-pub struct EmptyNode {
-    /// Timestamp of the operation that created this placeholder.
-    pub created_ts: Timestamp,
-}
-
-/// The fixed key-index interval covered by a (prospective) node.
+/// The fixed key-index interval covered by a (prospective) node: the routing
+/// record of a trie node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Coverage {
     /// Number of index bits consumed on the path to the node.
@@ -112,27 +46,30 @@ impl Coverage {
 
     /// Coverage of the left (`bit = 0`) child.
     pub fn left(&self) -> Coverage {
-        Coverage {
-            depth: self.depth + 1,
-            prefix: self.prefix,
-        }
+        self.child(false)
     }
 
     /// Coverage of the right (`bit = 1`) child.
     pub fn right(&self) -> Coverage {
+        self.child(true)
+    }
+
+    /// Coverage of the right child if `right`, else of the left one.
+    pub fn child(&self, right: bool) -> Coverage {
         Coverage {
             depth: self.depth + 1,
-            prefix: self.prefix | (1u64 << self.branch_bit()),
+            prefix: self.prefix | (u64::from(right) << self.branch_bit()),
         }
+    }
+
+    /// `true` if `index` routes into the right (`bit = 1`) child.
+    pub fn goes_right(&self, index: u64) -> bool {
+        (index >> self.branch_bit()) & 1 == 1
     }
 
     /// The child coverage an index routes into.
     pub fn child_for(&self, index: u64) -> Coverage {
-        if (index >> self.branch_bit()) & 1 == 0 {
-            self.left()
-        } else {
-            self.right()
-        }
+        self.child(self.goes_right(index))
     }
 
     /// `true` if `index` lies below this coverage.
@@ -166,161 +103,32 @@ pub enum Overlap {
     Partial,
 }
 
-/// An inner (routing) node of the trie.
-pub struct InnerNode<K: TrieKey, V: Value, A: Augmentation<K, V>> {
-    /// Unique identifier.
-    pub id: NodeId,
-    /// The key-index interval this node covers.
-    pub coverage: Coverage,
-    /// Left child (branch bit 0).
-    pub left: Atomic<Node<K, V, A>>,
-    /// Right child (branch bit 1).
-    pub right: Atomic<Node<K, V, A>>,
-    /// Swappable immutable state record.
-    pub state: Atomic<NodeState<A::Agg>>,
-    /// Per-node operations queue; the dummy timestamp is the node's creation
-    /// watermark, so descriptors older than the node can never enter.
-    pub queue: TsQueue<OpRef<K, V, A>>,
-}
+/// A trie node.
+pub(crate) type TrieNode<K, V, A> = Node<K, V, A, Bits>;
 
-/// A node of the concurrent trie.
-pub enum Node<K: TrieKey, V: Value, A: Augmentation<K, V>> {
-    /// An empty position (removed leaf or never-populated branch).
-    Empty(EmptyNode),
-    /// A data item.
-    Leaf(LeafNode<K, V>),
-    /// A routing node with queue and state.
-    Inner(InnerNode<K, V, A>),
-}
-
-impl<K: TrieKey, V: Value, A: Augmentation<K, V>> Node<K, V, A> {
-    /// An empty placeholder created by the operation with timestamp `ts`.
-    pub fn empty(ts: Timestamp) -> Self {
-        Node::Empty(EmptyNode { created_ts: ts })
-    }
-
-    /// Current augmentation value of this child as seen from its parent.
-    pub fn current_agg(&self, guard: &Guard) -> A::Agg {
-        match self {
-            Node::Empty(_) => A::identity(),
-            Node::Leaf(leaf) => A::of_entry(&leaf.key, &leaf.value),
-            Node::Inner(inner) => inner.load_state(guard).agg.clone(),
-        }
-    }
-}
-
-impl<K: TrieKey, V: Value, A: Augmentation<K, V>> InnerNode<K, V, A> {
-    /// Loads the current state record.
-    pub fn load_state<'g>(&self, guard: &'g Guard) -> &'g NodeState<A::Agg> {
-        // ORDERING: Acquire pairs with the AcqRel state CAS in
-        // `exec::apply_state_delta`, so the record's fields are visible.
-        // SAFETY: the state record is non-null by construction and retired only via
-        // `defer_destroy`, so the deref is valid under `guard`.
-        let state = self.state.load(Ordering::Acquire, guard);
-        // SAFETY: as above.
-        unsafe { state.deref() }
-    }
-
-    /// Loads the current state record as a `Shared` pointer (the expected
-    /// value of the state CAS).
-    pub fn load_state_shared<'g>(&self, guard: &'g Guard) -> Shared<'g, NodeState<A::Agg>> {
-        // ORDERING: Acquire pairs with the AcqRel state CAS in
-        // `exec::apply_state_delta`; the pointer serves as a CAS expected value and
-        // read-validation token.
-        self.state.load(Ordering::Acquire, guard)
-    }
-
-    /// The slot and coverage of the child an index routes into.
-    pub fn child_slot(&self, index: u64) -> (&Atomic<Node<K, V, A>>, Coverage) {
-        if (index >> self.coverage.branch_bit()) & 1 == 0 {
-            (&self.left, self.coverage.left())
-        } else {
-            (&self.right, self.coverage.right())
-        }
-    }
-}
-
-/// A `Send + Sync` raw-pointer wrapper used as the traverse-queue item type.
-///
-/// Safety: only dereferenced by the operation's initiator while it holds the
-/// epoch guard pinned before the operation entered the root queue (trie nodes
-/// are never unlinked except by `remove`/`insert` CASes on leaf/empty slots,
-/// and inner nodes are never retired while the trie is alive, so any pointer
-/// recorded during an operation outlives that operation).
-pub struct NodePtr<K: TrieKey, V: Value, A: Augmentation<K, V>>(*const Node<K, V, A>);
-
-impl<K: TrieKey, V: Value, A: Augmentation<K, V>> Clone for NodePtr<K, V, A> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<K: TrieKey, V: Value, A: Augmentation<K, V>> Copy for NodePtr<K, V, A> {}
-
-// SAFETY: the pointer is only dereferenced through the unsafe `deref`,
-// whose contract (initiator + pre-enqueue guard) keeps the pointee alive,
-// so moving the raw pointer across threads is sound.
-unsafe impl<K: TrieKey, V: Value, A: Augmentation<K, V>> Send for NodePtr<K, V, A> {}
-// SAFETY: same argument as `Send` — shared access is read-only and gated by
-// `deref`'s contract.
-unsafe impl<K: TrieKey, V: Value, A: Augmentation<K, V>> Sync for NodePtr<K, V, A> {}
-
-impl<K: TrieKey, V: Value, A: Augmentation<K, V>> NodePtr<K, V, A> {
-    /// Wraps a shared pointer obtained under an epoch guard.
-    pub fn from_shared(shared: Shared<'_, Node<K, V, A>>) -> Self {
-        NodePtr(shared.as_raw())
-    }
-
-    /// Dereferences the pointer.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the operation's initiator and must still hold the
-    /// guard pinned before the operation was enqueued.
-    // SAFETY: the contract above guarantees the pointee outlives the guard —
-    // inner nodes are never retired while the trie is alive, and leaf/empty
-    // nodes recorded by an operation are only retired after it resolves.
-    pub unsafe fn deref<'g>(&self, _guard: &'g Guard) -> &'g Node<K, V, A> {
-        &*self.0
-    }
-}
-
-/// Recursively builds a trie subtree from entries sorted by key index, for
-/// bulk construction (`from_entries`). All queues and states carry the
-/// watermark `Timestamp::ZERO`.
+/// Recursively builds the trie subtree for `coverage` from entries sorted by
+/// key index (bulk construction); every node carries the watermark
+/// `watermark`.
 pub(crate) fn build_subtrie<K: TrieKey, V: Value, A: Augmentation<K, V>>(
     entries: &[(K, V)],
     coverage: Coverage,
+    watermark: Timestamp,
     ids: &IdAllocator,
-) -> (Node<K, V, A>, A::Agg) {
+) -> (TrieNode<K, V, A>, A::Agg) {
     match entries {
-        [] => (Node::empty(Timestamp::ZERO), A::identity()),
+        [] => (Node::empty(watermark), A::identity()),
         [(key, value)] => (
-            Node::Leaf(LeafNode {
-                key: *key,
-                value: value.clone(),
-                created_ts: Timestamp::ZERO,
-            }),
+            Node::Leaf(LeafNode::new(*key, value.clone(), watermark)),
             A::of_entry(key, value),
         ),
         _ => {
-            let bit = coverage.branch_bit();
-            let split = entries.partition_point(|(k, _)| (k.to_index() >> bit) & 1 == 0);
+            let split = entries.partition_point(|(k, _)| !coverage.goes_right(k.to_index()));
             let (left, left_agg) =
-                build_subtrie::<K, V, A>(&entries[..split], coverage.left(), ids);
+                build_subtrie::<K, V, A>(&entries[..split], coverage.left(), watermark, ids);
             let (right, right_agg) =
-                build_subtrie::<K, V, A>(&entries[split..], coverage.right(), ids);
+                build_subtrie::<K, V, A>(&entries[split..], coverage.right(), watermark, ids);
             let agg = A::combine(&left_agg, &right_agg);
-            let inner = InnerNode {
-                id: ids.fresh(),
-                coverage,
-                left: Atomic::new(left),
-                right: Atomic::new(right),
-                state: Atomic::new(NodeState {
-                    agg: agg.clone(),
-                    ts_mod: Timestamp::ZERO,
-                }),
-                queue: TsQueue::new(Timestamp::ZERO),
-            };
+            let inner = InnerNode::new(ids.fresh(), coverage, left, right, agg.clone(), watermark);
             (Node::Inner(inner), agg)
         }
     }
@@ -339,7 +147,7 @@ pub(crate) fn build_divergence_chain<K: TrieKey, V: Value, A: Augmentation<K, V>
     coverage: Coverage,
     ts: Timestamp,
     ids: &IdAllocator,
-) -> Node<K, V, A> {
+) -> TrieNode<K, V, A> {
     let a = existing.0.to_index();
     let b = new.0.to_index();
     debug_assert_ne!(a, b, "divergence chain needs two distinct keys");
@@ -350,132 +158,62 @@ pub(crate) fn build_divergence_chain<K: TrieKey, V: Value, A: Augmentation<K, V>
     );
     let diverge_depth = (a ^ b).leading_zeros();
     debug_assert!(diverge_depth >= coverage.depth);
-
-    // Bottom node: both leaves hang off it.
-    let bottom_coverage = Coverage {
-        depth: diverge_depth,
-        prefix: if diverge_depth == 0 {
+    // The coverage at `depth` of the common prefix of both indices.
+    let at_depth = |depth: u32| Coverage {
+        depth,
+        prefix: if depth == 0 {
             0
         } else {
-            a & !(u64::MAX >> diverge_depth)
+            a & !(u64::MAX >> depth)
         },
     };
-    let bit = bottom_coverage.branch_bit();
-    let (left_entry, right_entry) = if (a >> bit) & 1 == 0 {
-        (existing, new)
-    } else {
+
+    // Bottom node: both leaves hang off it.
+    let bottom = at_depth(diverge_depth);
+    let (left, right) = if bottom.goes_right(a) {
         (new, existing)
+    } else {
+        (existing, new)
     };
-    let mut node = Node::Inner(InnerNode {
-        id: ids.fresh(),
-        coverage: bottom_coverage,
-        left: Atomic::new(Node::Leaf(LeafNode {
-            key: left_entry.0,
-            value: left_entry.1,
-            created_ts: ts,
-        })),
-        right: Atomic::new(Node::Leaf(LeafNode {
-            key: right_entry.0,
-            value: right_entry.1,
-            created_ts: ts,
-        })),
-        state: Atomic::new(NodeState {
-            agg: agg.clone(),
-            ts_mod: ts,
-        }),
-        queue: TsQueue::new(ts),
-    });
+    let leaf = |(key, value)| Node::Leaf(LeafNode::new(key, value, ts));
+    let mut node = Node::Inner(InnerNode::new(
+        ids.fresh(),
+        bottom,
+        leaf(left),
+        leaf(right),
+        agg.clone(),
+        ts,
+    ));
 
     // Wrap single-child nodes upwards until we reach the slot's coverage.
-    let mut depth = diverge_depth;
-    while depth > coverage.depth {
-        depth -= 1;
-        let wrap_coverage = Coverage {
-            depth,
-            prefix: if depth == 0 {
-                0
-            } else {
-                a & !(u64::MAX >> depth)
-            },
-        };
-        let bit = wrap_coverage.branch_bit();
-        let (left, right) = if (a >> bit) & 1 == 0 {
-            (Atomic::new(node), Atomic::new(Node::empty(ts)))
+    for depth in (coverage.depth..diverge_depth).rev() {
+        let wrap = at_depth(depth);
+        let (left, right) = if wrap.goes_right(a) {
+            (Node::empty(ts), node)
         } else {
-            (Atomic::new(Node::empty(ts)), Atomic::new(node))
+            (node, Node::empty(ts))
         };
-        node = Node::Inner(InnerNode {
-            id: ids.fresh(),
-            coverage: wrap_coverage,
+        node = Node::Inner(InnerNode::new(
+            ids.fresh(),
+            wrap,
             left,
             right,
-            state: Atomic::new(NodeState {
-                agg: agg.clone(),
-                ts_mod: ts,
-            }),
-            queue: TsQueue::new(ts),
-        });
+            agg.clone(),
+            ts,
+        ));
     }
     node
-}
-
-/// Collects every `(key, value)` in the subtree, in key order.
-pub(crate) fn collect_subtrie<K: TrieKey, V: Value, A: Augmentation<K, V>>(
-    node: Shared<'_, Node<K, V, A>>,
-    out: &mut Vec<(K, V)>,
-    guard: &Guard,
-) {
-    if node.is_null() {
-        return;
-    }
-    // SAFETY: the subtree is reachable from a slot read under the caller's
-    // guard; nodes are retired only via `defer_destroy`, so every deref in this
-    // walk is valid.
-    match unsafe { node.deref() } {
-        Node::Empty(_) => {}
-        Node::Leaf(leaf) => out.push((leaf.key, leaf.value.clone())),
-        Node::Inner(inner) => {
-            // ORDERING: Acquire pairs with the AcqRel child-slot CASes in `exec`, so
-            // the loaded children are fully initialised.
-            collect_subtrie(inner.left.load(Ordering::Acquire, guard), out, guard);
-            // ORDERING: as above.
-            collect_subtrie(inner.right.load(Ordering::Acquire, guard), out, guard);
-        }
-    }
-}
-
-/// Frees a subtree immediately. Only safe with exclusive access (trie `Drop`
-/// or a speculative chain that was never published).
-pub(crate) fn free_subtrie_now<K: TrieKey, V: Value, A: Augmentation<K, V>>(
-    node: Shared<'_, Node<K, V, A>>,
-) {
-    if node.is_null() {
-        return;
-    }
-    // SAFETY: called from `Drop` (exclusive access) or on a speculative chain
-    // that was never published, so no other thread can reach these nodes and
-    // each is freed exactly once.
-    unsafe {
-        let unprotected = crossbeam_epoch::unprotected();
-        if let Node::Inner(inner) = node.deref() {
-            free_subtrie_now(inner.left.load(Ordering::Relaxed, unprotected));
-            free_subtrie_now(inner.right.load(Ordering::Relaxed, unprotected));
-            let state = inner.state.load(Ordering::Relaxed, unprotected);
-            if !state.is_null() {
-                drop(state.into_owned());
-            }
-        }
-        drop(node.into_owned());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_epoch as epoch;
-    use wft_seq::Size;
+    use crossbeam_epoch::{self as epoch, Guard, Owned, Shared};
+    use std::sync::atomic::Ordering;
+    use wft_core::node::{collect_subtree, free_subtree_now};
+    use wft_core::Size;
 
-    type N = Node<u64, (), Size>;
+    type N = TrieNode<u64, (), Size>;
 
     #[test]
     fn coverage_intervals_and_children() {
@@ -509,22 +247,24 @@ mod tests {
 
     #[test]
     fn build_subtrie_roundtrip() {
-        let ids = IdAllocator::new();
+        let ids = IdAllocator::default();
         let entries: Vec<(u64, ())> = (0..200u64).map(|k| (k * 3, ())).collect();
-        let (node, agg) = build_subtrie::<u64, (), Size>(&entries, Coverage::ROOT, &ids);
+        let (node, agg) =
+            build_subtrie::<u64, (), Size>(&entries, Coverage::ROOT, Timestamp::ZERO, &ids);
         assert_eq!(agg, 200);
         // SAFETY: the subtrie was never published; this test owns it exclusively.
-        let shared = crossbeam_epoch::Owned::new(node).into_shared(unsafe { epoch::unprotected() });
+        let shared = Owned::new(node).into_shared(unsafe { epoch::unprotected() });
         let guard = epoch::pin();
         let mut out = Vec::new();
-        collect_subtrie(shared, &mut out, &guard);
+        collect_subtree(shared, &mut out, &guard);
         assert_eq!(out, entries);
-        free_subtrie_now(shared);
+        // SAFETY: still exclusively owned by this test.
+        unsafe { free_subtree_now(shared) };
     }
 
     #[test]
     fn divergence_chain_holds_both_keys() {
-        let ids = IdAllocator::new();
+        let ids = IdAllocator::default();
         let guard = epoch::pin();
         // Keys that agree on many leading bits force a long chain.
         let chain: N = build_divergence_chain(
@@ -535,17 +275,16 @@ mod tests {
             &ids,
         );
         // SAFETY: the chain was never published; this test owns it exclusively.
-        let shared =
-            crossbeam_epoch::Owned::new(chain).into_shared(unsafe { epoch::unprotected() });
+        let shared = Owned::new(chain).into_shared(unsafe { epoch::unprotected() });
         let mut out = Vec::new();
-        collect_subtrie(shared, &mut out, &guard);
+        collect_subtree(shared, &mut out, &guard);
         assert_eq!(out, vec![(1024, ()), (1025, ())]);
         // Every inner node on the chain covers both keys and carries the
         // operation's timestamp.
         fn walk(node: Shared<'_, N>, guard: &Guard) {
             // SAFETY: every pointer on the chain is non-null and test-owned.
             if let Node::Inner(inner) = unsafe { node.deref() } {
-                assert!(inner.coverage.contains(1024) && inner.coverage.contains(1025));
+                assert!(inner.route.contains(1024) && inner.route.contains(1025));
                 assert_eq!(inner.load_state(guard).ts_mod, Timestamp(5));
                 assert_eq!(inner.load_state(guard).agg, 2);
                 walk(inner.left.load(Ordering::Acquire, guard), guard);
@@ -553,12 +292,13 @@ mod tests {
             }
         }
         walk(shared, &guard);
-        free_subtrie_now(shared);
+        // SAFETY: still exclusively owned by this test.
+        unsafe { free_subtree_now(shared) };
     }
 
     #[test]
     fn divergence_chain_length_matches_common_prefix() {
-        let ids = IdAllocator::new();
+        let ids = IdAllocator::default();
         let guard = epoch::pin();
         // Indices diverging at the very first bit produce a single node.
         let chain: N = build_divergence_chain(
@@ -569,8 +309,7 @@ mod tests {
             &ids,
         );
         // SAFETY: the chain was never published; this test owns it exclusively.
-        let shared =
-            crossbeam_epoch::Owned::new(chain).into_shared(unsafe { epoch::unprotected() });
+        let shared = Owned::new(chain).into_shared(unsafe { epoch::unprotected() });
         fn depth_of(node: Shared<'_, N>, guard: &Guard) -> usize {
             // SAFETY: every pointer on the chain is non-null and test-owned.
             match unsafe { node.deref() } {
@@ -582,6 +321,7 @@ mod tests {
             }
         }
         assert_eq!(depth_of(shared, &guard), 1);
-        free_subtrie_now(shared);
+        // SAFETY: still exclusively owned by this test.
+        unsafe { free_subtree_now(shared) };
     }
 }

@@ -1,81 +1,110 @@
-//! The public concurrent trie type.
+//! The trie instantiation of `wft-core`'s tree: the [`Bits`] routing policy
+//! and the [`WaitFreeTrie`] alias.
 
-use crossbeam_epoch::Atomic;
-use std::sync::atomic::{AtomicU64, Ordering};
+use wft_core::node::{IdAllocator, NodeId};
+use wft_core::{Augmentation, Routing, Size, SlotAt, Step, Timestamp, Value, WaitFreeTree};
 
-use wft_queue::{PresenceIndex, ReadPath, Timestamp, TsQueue};
-use wft_seq::{Augmentation, Size, Value};
-
-use crate::descriptor::{OpKind, OpRef};
 use crate::key::TrieKey;
-use crate::node::{build_subtrie, collect_subtrie, free_subtrie_now, Coverage, IdAllocator, Node};
+use crate::node::{build_divergence_chain, build_subtrie, Coverage, Overlap, TrieNode};
 
-/// Operational counters of a [`WaitFreeTrie`] (diagnostics and tests).
-#[derive(Debug, Default)]
-pub(crate) struct TrieCounters {
-    pub(crate) inserts: AtomicU64,
-    pub(crate) replaces: AtomicU64,
-    pub(crate) removes: AtomicU64,
-    pub(crate) failed_updates: AtomicU64,
-    pub(crate) helped_executions: AtomicU64,
-    pub(crate) fast_point_reads: AtomicU64,
-    pub(crate) fast_range_hits: AtomicU64,
-    pub(crate) fast_range_retries: AtomicU64,
-    pub(crate) range_fallbacks: AtomicU64,
-    pub(crate) fast_range_early_exits: AtomicU64,
+/// Bit routing: a node branches on one bit of the key's order-preserving
+/// 64-bit index ([`TrieKey`]), so its subtree covers a fixed key interval.
+///
+/// * the route record is the node's [`Coverage`];
+/// * range walks classify each child's coverage against the query (skip,
+///   absorb or descend) and so record no per-node modes in the descriptor;
+/// * an insertion that lands on an occupied leaf installs a *divergence
+///   chain* down to the first differing bit;
+/// * nothing is ever rebuilt: the depth is bounded by the key width, so
+///   every bound is worst-case rather than amortized.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Bits;
+
+impl<K: TrieKey> Routing<K> for Bits {
+    type Route = Coverage;
+    type Mode = ();
+    type Modes = ();
+    const METRICS_PREFIX: &'static str = "trie";
+
+    fn goes_right(route: &Coverage, key: &K) -> bool {
+        route.goes_right(key.to_index())
+    }
+
+    fn root_mode(_: K, _: K) {}
+
+    fn split(route: &Coverage, _: (), min: &K, max: &K) -> [Step<()>; 2] {
+        let (min, max) = (min.to_index(), max.to_index());
+        [false, true].map(|right| match route.child(right).classify(min, max) {
+            Overlap::Disjoint => Step::Skip,
+            Overlap::Contained => Step::Absorb,
+            Overlap::Partial => Step::Descend(()),
+        })
+    }
+
+    fn record_mode(_: &(), _: NodeId, _: ()) {}
+
+    fn mode_at(_: &(), _: NodeId) {}
+
+    fn rebuild_size(_: &Coverage) -> Option<u64> {
+        None
+    }
+
+    fn build<V: Value, A: Augmentation<K, V>>(
+        at: SlotAt<'_, Coverage>,
+        entries: &[(K, V)],
+        watermark: Timestamp,
+        ids: &IdAllocator,
+    ) -> (TrieNode<K, V, A>, A::Agg) {
+        build_subtrie(entries, slot_coverage(at), watermark, ids)
+    }
+
+    fn split_leaf<V: Value, A: Augmentation<K, V>>(
+        at: SlotAt<'_, Coverage>,
+        old: (K, V),
+        new: (K, V),
+        ts: Timestamp,
+        ids: &IdAllocator,
+    ) -> TrieNode<K, V, A> {
+        build_divergence_chain(old, new, slot_coverage(at), ts, ids)
+    }
+
+    fn check_route<V: Value>(
+        at: SlotAt<'_, Coverage>,
+        route: &Coverage,
+        left: &[(K, V)],
+        right: &[(K, V)],
+    ) {
+        assert_eq!(
+            *route,
+            slot_coverage(at),
+            "inner node coverage disagrees with its position"
+        );
+        for (side, entries) in [(false, left), (true, right)] {
+            let coverage = route.child(side);
+            for (key, _) in entries {
+                assert!(
+                    coverage.contains(key.to_index()),
+                    "leaf key {key:?} outside its coverage {coverage:?}"
+                );
+            }
+        }
+    }
 }
 
-/// How many optimistic traversals a range read attempts before falling back
-/// to the descriptor slow path (mirrors
-/// `wft_core::TreeConfig::fast_read_attempts`, which defaults to the same
-/// value; the trie keeps it fixed rather than growing a config struct for
-/// one knob).
-pub(crate) const FAST_READ_ATTEMPTS: usize = 3;
-
-/// A snapshot of the operational counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrieStats {
-    /// Successful insertions.
-    pub inserts: u64,
-    /// Replace (upsert) descriptors applied.
-    pub replaces: u64,
-    /// Successful removals.
-    pub removes: u64,
-    /// Updates that did not change the set (key already present / absent).
-    pub failed_updates: u64,
-    /// Descriptor executions performed on behalf of *other* operations.
-    pub helped_executions: u64,
-    /// Point reads answered from the presence index (no descriptor).
-    pub fast_point_reads: u64,
-    /// Range reads answered by a validated optimistic traversal.
-    pub fast_range_hits: u64,
-    /// Extra optimistic attempts after a failed validation (bounded retry).
-    pub fast_range_retries: u64,
-    /// Range reads that fell back to the descriptor slow path.
-    pub range_fallbacks: u64,
-    /// Limit-bounded collects whose optimistic walk early-exited at the
-    /// chunk limit (the streaming scan chunk primitive).
-    pub fast_range_early_exits: u64,
+/// The coverage of the child slot `at`.
+fn slot_coverage(at: SlotAt<'_, Coverage>) -> Coverage {
+    at.map_or(Coverage::ROOT, |(parent, right)| parent.child(right))
 }
 
 /// A linearizable concurrent ordered map over fixed-width integer keys with
 /// wait-free operations and aggregate range queries in `O(W + |P|)` time
-/// (where `W` is the key width in bits).
+/// (where `W` is the key width in bits): `wft-core`'s [`WaitFreeTree`] with
+/// [`Bits`] routing.
 ///
-/// This is the paper's hand-over-hand-helping scheme (§II) instantiated for a
-/// **binary trie**: the paper's conclusion lists tries (and quad trees) as
-/// the natural next data structures for the technique, and this type shows
-/// that the scheme indeed carries over — the descriptor queues, timestamps,
-/// helping and exactly-once state updates are shared with the BST through the
-/// `wft-queue` substrates, only the routing and the structural changes
-/// differ:
-///
-/// * routing follows the bits of an order-preserving 64-bit key index
-///   ([`crate::TrieKey`]), so a node's subtree is always a fixed key
-///   interval and aggregate range queries prune/absorb whole subtrees;
-/// * there is no rebalancing and therefore no rebuilding — the depth is
-///   bounded by the key width, so every bound is worst-case rather than
-///   amortized.
+/// Everything but the routing — descriptors, helping, the fast read paths,
+/// the timestamp front, the `wft-api` impls, [`wft_core::TreeConfig`] and
+/// [`wft_core::TreeStats`] — is the tree's; metrics carry the `trie_`
+/// prefix.
 ///
 /// # Example
 ///
@@ -91,585 +120,18 @@ pub struct TrieStats {
 /// trie.remove(&10);
 /// assert_eq!(trie.count(0, 1_000), 1);
 /// ```
-pub struct WaitFreeTrie<K: TrieKey, V: Value = (), A: Augmentation<K, V> = Size> {
-    pub(crate) root_queue: TsQueue<OpRef<K, V, A>>,
-    pub(crate) root_child: Atomic<Node<K, V, A>>,
-    pub(crate) presence: PresenceIndex<K, V>,
-    pub(crate) ids: IdAllocator,
-    pub(crate) counters: TrieCounters,
-    pub(crate) len: AtomicU64,
-    pub(crate) read_path: ReadPath,
-    /// Highest update timestamp whose linearization has begun (bumped before
-    /// the presence-index resolution makes the update visible); mirrors
-    /// `wft_core::WaitFreeTree::advertised_ts`.
-    pub(crate) advertised_ts: AtomicU64,
-    /// Highest update timestamp whose linearization has completed. Always
-    /// `<= advertised_ts`; equality means no update is mid-linearization.
-    pub(crate) resolved_ts: AtomicU64,
-}
-
-// SAFETY: all shared mutation goes through atomics and epoch-protected
-// pointers; `K`, `V` and the augmentation are `Send + Sync` by bound, so
-// moving the structure across threads is sound.
-unsafe impl<K: TrieKey, V: Value, A: Augmentation<K, V>> Send for WaitFreeTrie<K, V, A> {}
-// SAFETY: same argument as `Send` — concurrent access is mediated by
-// atomics and epoch guards throughout.
-unsafe impl<K: TrieKey, V: Value, A: Augmentation<K, V>> Sync for WaitFreeTrie<K, V, A> {}
-
-impl<K: TrieKey, V: Value, A: Augmentation<K, V>> Default for WaitFreeTrie<K, V, A> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: TrieKey, V: Value, A: Augmentation<K, V>> WaitFreeTrie<K, V, A> {
-    /// Creates an empty trie with the default read path
-    /// ([`ReadPath::Fast`]).
-    pub fn new() -> Self {
-        Self::with_read_path(ReadPath::Fast)
-    }
-
-    /// Creates an empty trie with an explicit [`ReadPath`] (mirrors
-    /// `wft_core::TreeConfig::read_path`; primarily for tests that force
-    /// the descriptor read path).
-    pub fn with_read_path(read_path: ReadPath) -> Self {
-        WaitFreeTrie {
-            root_queue: TsQueue::new(Timestamp::ZERO),
-            root_child: Atomic::new(Node::empty(Timestamp::ZERO)),
-            presence: PresenceIndex::new(),
-            ids: IdAllocator::new(),
-            counters: TrieCounters::default(),
-            len: AtomicU64::new(0),
-            read_path,
-            advertised_ts: AtomicU64::new(0),
-            resolved_ts: AtomicU64::new(0),
-        }
-    }
-
-    /// Builds a trie containing `entries` (duplicates keep the first value)
-    /// without paying one queue round-trip per key.
-    pub fn from_entries<I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
-        Self::from_entries_with_read_path(entries, ReadPath::Fast)
-    }
-
-    /// Builds a pre-populated trie with an explicit [`ReadPath`].
-    pub fn from_entries_with_read_path<I: IntoIterator<Item = (K, V)>>(
-        entries: I,
-        read_path: ReadPath,
-    ) -> Self {
-        let trie = Self::with_read_path(read_path);
-        let mut sorted: Vec<(K, V)> = entries.into_iter().collect();
-        sorted.sort_by_key(|a| a.0);
-        sorted.dedup_by(|a, b| a.0 == b.0);
-        let guard = crossbeam_epoch::pin();
-        for (key, value) in &sorted {
-            trie.presence.prefill(*key, value.clone(), &guard);
-        }
-        let (root, _agg) = build_subtrie::<K, V, A>(&sorted, Coverage::ROOT, &trie.ids);
-        // ORDERING: AcqRel out of caution only — the trie is still private to this
-        // thread during construction.
-        let old = trie
-            .root_child
-            .swap(crossbeam_epoch::Owned::new(root), Ordering::AcqRel, &guard);
-        free_subtrie_now(old);
-        trie.len.store(sorted.len() as u64, Ordering::Relaxed);
-        trie
-    }
-
-    /// Inserts `key → value`. Returns `true` if the key was absent.
-    pub fn insert(&self, key: K, value: V) -> bool {
-        let (op, _ts) = self.run_operation(OpKind::Insert { key, value });
-        op.resolved_decision().success
-    }
-
-    /// Inserts `key → value`, overwriting any existing value; returns the
-    /// value it replaced, if any. Executes as a single `Replace` descriptor
-    /// (one root-queue timestamp), like the BST's
-    /// `WaitFreeTree::insert_or_replace`.
-    pub fn insert_or_replace(&self, key: K, value: V) -> Option<V> {
-        let (op, _ts) = self.run_operation(OpKind::Replace { key, value });
-        op.resolved_decision().prior_value.clone()
-    }
-
-    /// Removes `key`. Returns `true` if it was present.
-    pub fn remove(&self, key: &K) -> bool {
-        let (op, _ts) = self.run_operation(OpKind::Remove { key: *key });
-        op.resolved_decision().success
-    }
-
-    /// Removes `key` and returns the value it was mapped to, if any.
-    pub fn remove_entry(&self, key: &K) -> Option<V> {
-        let (op, _ts) = self.run_operation(OpKind::Remove { key: *key });
-        let decision = op.resolved_decision();
-        if decision.success {
-            decision.prior_value.clone()
-        } else {
-            None
-        }
-    }
-
-    /// Returns `true` if `key` is in the trie.
-    ///
-    /// Presence-only under [`ReadPath::Fast`] (the default): one presence-
-    /// index bucket load, `O(1)`, no descriptor, and the value is never
-    /// cloned. The descriptor path assembles the same presence bit without
-    /// cloning either.
-    pub fn contains(&self, key: &K) -> bool {
-        if self.read_path == ReadPath::Fast {
-            self.counters
-                .fast_point_reads
-                .fetch_add(1, Ordering::Relaxed);
-            let guard = crossbeam_epoch::pin();
-            return self.presence.contains_key(key, &guard);
-        }
-        let (op, _ts) = self.run_operation(OpKind::Lookup { key: *key });
-        op.assemble_lookup_present()
-    }
-
-    /// Returns the value associated with `key`, if any. Served from the
-    /// presence index in `O(1)` under [`ReadPath::Fast`] (the default), like
-    /// `wft_core::WaitFreeTree::get`.
-    pub fn get(&self, key: &K) -> Option<V> {
-        if self.read_path == ReadPath::Fast {
-            self.counters
-                .fast_point_reads
-                .fetch_add(1, Ordering::Relaxed);
-            let guard = crossbeam_epoch::pin();
-            return self.presence.read_value(key, &guard);
-        }
-        let (op, _ts) = self.run_operation(OpKind::Lookup { key: *key });
-        op.assemble_lookup()
-    }
-
-    /// Aggregate of every entry with key in `[min, max]` under the trie's
-    /// augmentation.
-    ///
-    /// Under [`ReadPath::Fast`] (the default) an optimistic descriptor-free
-    /// traversal is attempted first and validated; see `crate::read` and
-    /// `wft_core::read` for the linearization argument.
-    pub fn range_agg(&self, min: K, max: K) -> A::Agg {
-        if min > max {
-            return A::identity();
-        }
-        if self.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for attempt in 1..=FAST_READ_ATTEMPTS {
-                if let Some(agg) = self.try_fast_range_agg(min, max, &guard) {
-                    self.counters
-                        .fast_range_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    return agg;
-                }
-                if attempt < FAST_READ_ATTEMPTS {
-                    self.counters
-                        .fast_range_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.note_range_fallback();
-        }
-        let (op, _ts) = self.run_operation(OpKind::RangeAgg { min, max });
-        op.assemble_agg()
-    }
-
-    /// Every `(key, value)` with key in `[min, max]`, in key order. Attempts
-    /// the optimistic traversal under [`ReadPath::Fast`].
-    pub fn collect_range(&self, min: K, max: K) -> Vec<(K, V)> {
-        if min > max {
-            return Vec::new();
-        }
-        if self.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for attempt in 1..=FAST_READ_ATTEMPTS {
-                if let Some(entries) = self.try_fast_collect(min, max, &guard) {
-                    self.counters
-                        .fast_range_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    return entries;
-                }
-                if attempt < FAST_READ_ATTEMPTS {
-                    self.counters
-                        .fast_range_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.note_range_fallback();
-        }
-        let (op, _ts) = self.run_operation(OpKind::Collect { min, max });
-        op.assemble_entries()
-    }
-
-    /// The (up to) `limit` smallest entries with key in `[min, max]`, in
-    /// key order — the trie's chunk primitive for the streaming scan API,
-    /// mirroring `wft_core::WaitFreeTree::collect_range_limited`. The
-    /// optimistic walk early-exits after `limit` leaves
-    /// (`O(W + limit)`, counted in [`TrieStats::fast_range_early_exits`]);
-    /// the descriptor fallback collects fully and truncates.
-    pub fn collect_range_limited(&self, min: K, max: K, limit: usize) -> Vec<(K, V)> {
-        if min > max || limit == 0 {
-            return Vec::new();
-        }
-        if self.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for attempt in 1..=FAST_READ_ATTEMPTS {
-                if let Some((entries, early_exit)) =
-                    self.try_fast_collect_limited(min, max, limit, &guard)
-                {
-                    self.counters
-                        .fast_range_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    if early_exit {
-                        self.counters
-                            .fast_range_early_exits
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    return entries;
-                }
-                if attempt < FAST_READ_ATTEMPTS {
-                    self.counters
-                        .fast_range_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.note_range_fallback();
-        }
-        let (op, _ts) = self.run_operation(OpKind::Collect { min, max });
-        let mut entries = op.assemble_entries();
-        entries.truncate(limit);
-        entries
-    }
-
-    /// Number of keys currently stored (maintained at update linearization
-    /// points).
-    pub fn len(&self) -> u64 {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// `true` when the trie stores no keys.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Counts a descriptor-path fallback and drops a timeline event into
-    /// the global trace ring (mirrors `wft_core`'s emission: fallbacks are
-    /// the per-read anomaly signal a post-mortem wants timestamps for).
-    fn note_range_fallback(&self) {
-        self.counters
-            .range_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        wft_obs::trace::emit(wft_obs::TraceKind::RangeFallback, wft_obs::NO_SHARD);
-    }
-
-    /// A snapshot of the operational counters.
-    pub fn stats(&self) -> TrieStats {
-        TrieStats {
-            inserts: self.counters.inserts.load(Ordering::Relaxed),
-            replaces: self.counters.replaces.load(Ordering::Relaxed),
-            removes: self.counters.removes.load(Ordering::Relaxed),
-            failed_updates: self.counters.failed_updates.load(Ordering::Relaxed),
-            helped_executions: self.counters.helped_executions.load(Ordering::Relaxed),
-            fast_point_reads: self.counters.fast_point_reads.load(Ordering::Relaxed),
-            fast_range_hits: self.counters.fast_range_hits.load(Ordering::Relaxed),
-            fast_range_retries: self.counters.fast_range_retries.load(Ordering::Relaxed),
-            range_fallbacks: self.counters.range_fallbacks.load(Ordering::Relaxed),
-            fast_range_early_exits: self.counters.fast_range_early_exits.load(Ordering::Relaxed),
-        }
-    }
-
-    // -- the timestamp front ------------------------------------------------
-
-    /// The stable watermark: the latest root-queue timestamp whose update
-    /// effects are fully resolved (mirrors `wft_core::WaitFreeTree::stable_ts`).
-    pub fn stable_ts(&self) -> Timestamp {
-        // ORDERING: must observe every SeqCst `resolved_ts` bump in the single
-        // total order.
-        // wft-lint: allow(seqcst) -- pairs with the SeqCst resolved_ts fetch_max in exec::resolve_update.
-        Timestamp(self.resolved_ts.load(Ordering::SeqCst))
-    }
-
-    /// The advertised watermark: the latest update timestamp whose
-    /// linearization has begun — advanced before the update is visible to
-    /// any read.
-    pub fn advertised_ts(&self) -> Timestamp {
-        // ORDERING: must observe every SeqCst `advertised_ts` bump in the single
-        // total order.
-        // wft-lint: allow(seqcst) -- pairs with the SeqCst advertised_ts fetch_max in exec::resolve_update.
-        Timestamp(self.advertised_ts.load(Ordering::SeqCst))
-    }
-
-    /// Acquires a settled front (no update mid-linearization), helping the
-    /// root-queue head through its execution if one is in flight; lock-free.
-    /// See `wft_core::WaitFreeTree::settle_front` for the full contract.
-    pub fn settle_front(&self) -> Timestamp {
-        let guard = crossbeam_epoch::pin();
-        loop {
-            // ORDERING: SeqCst advertise read — the first half of the double-read
-            // validation below.
-            // wft-lint: allow(seqcst) -- the settle proof needs the advertise and resolve reads in the single total order.
-            let advertised = self.advertised_ts.load(Ordering::SeqCst);
-            // ORDERING: SeqCst — "resolved caught up" must be ordered against both
-            // advertise reads.
-            // wft-lint: allow(seqcst) -- same total-order argument as the advertise read above.
-            if self.resolved_ts.load(Ordering::SeqCst) >= advertised {
-                // ORDERING: SeqCst re-read — unchanged means no update advertised between
-                // the two reads, so the front is settled.
-                // wft-lint: allow(seqcst) -- same total-order argument as the advertise read above.
-                if self.advertised_ts.load(Ordering::SeqCst) == advertised {
-                    return Timestamp(advertised);
-                }
-            } else if let Some((head_ts, head_op)) = self.root_queue.peek(&guard) {
-                self.counters
-                    .helped_executions
-                    .fetch_add(1, Ordering::Relaxed);
-                self.execute_op_at(&head_op, head_ts, crate::exec::ParentRef::Fictive, &guard);
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// `true` while no update has begun linearizing past `front`.
-    pub fn front_unchanged(&self, front: Timestamp) -> bool {
-        // ORDERING: SeqCst pairs with the SeqCst `advertised_ts` fetch_max in
-        // `exec::resolve_update`.
-        // wft-lint: allow(seqcst) -- front validation must observe every advertise in the single total order.
-        self.advertised_ts.load(Ordering::SeqCst) == front.get()
-    }
-
-    /// [`range_agg`](WaitFreeTrie::range_agg) at a settled front, or `None`
-    /// when the trie advanced past it.
-    ///
-    /// Under [`ReadPath::Fast`] the read is **optimistic-only** — bounded
-    /// descriptor-free attempts that bail out with `None` instead of falling
-    /// back to the descriptor path, mirroring
-    /// `wft_core::WaitFreeTree::range_agg_at_front`: a descriptor read at an
-    /// expiring front would be helped (and so re-done) by every updater it
-    /// blocks, only for its final front check to discard the answer.
-    pub fn range_agg_at_front(&self, min: K, max: K, front: Timestamp) -> Option<A::Agg> {
-        // ORDERING: SeqCst — the front guard must be ordered against the SeqCst
-        // watermark bumps in `exec::resolve_update`.
-        // wft-lint: allow(seqcst) -- anchoring a read at a front needs the guard in the single total order.
-        if self.resolved_ts.load(Ordering::SeqCst) != front.get() || !self.front_unchanged(front) {
-            return None;
-        }
-        if min > max {
-            return Some(A::identity());
-        }
-        if self.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for _ in 0..FAST_READ_ATTEMPTS {
-                if let Some(agg) = self.try_fast_range_agg(min, max, &guard) {
-                    self.counters
-                        .fast_range_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    return self.front_unchanged(front).then_some(agg);
-                }
-                self.counters
-                    .fast_range_retries
-                    .fetch_add(1, Ordering::Relaxed);
-                if !self.front_unchanged(front) {
-                    return None;
-                }
-            }
-            return None;
-        }
-        let agg = self.range_agg(min, max);
-        self.front_unchanged(front).then_some(agg)
-    }
-
-    /// [`collect_range`](WaitFreeTrie::collect_range) at a settled front,
-    /// with the same optimistic-only discipline as
-    /// [`range_agg_at_front`](WaitFreeTrie::range_agg_at_front).
-    pub fn collect_range_at_front(&self, min: K, max: K, front: Timestamp) -> Option<Vec<(K, V)>> {
-        // ORDERING: SeqCst — the front guard must be ordered against the SeqCst
-        // watermark bumps in `exec::resolve_update`.
-        // wft-lint: allow(seqcst) -- anchoring a read at a front needs the guard in the single total order.
-        if self.resolved_ts.load(Ordering::SeqCst) != front.get() || !self.front_unchanged(front) {
-            return None;
-        }
-        if min > max {
-            return Some(Vec::new());
-        }
-        if self.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for _ in 0..FAST_READ_ATTEMPTS {
-                if let Some(entries) = self.try_fast_collect(min, max, &guard) {
-                    self.counters
-                        .fast_range_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    return self.front_unchanged(front).then_some(entries);
-                }
-                self.counters
-                    .fast_range_retries
-                    .fetch_add(1, Ordering::Relaxed);
-                if !self.front_unchanged(front) {
-                    return None;
-                }
-            }
-            return None;
-        }
-        let entries = self.collect_range(min, max);
-        self.front_unchanged(front).then_some(entries)
-    }
-
-    /// [`collect_range_limited`](WaitFreeTrie::collect_range_limited) at a
-    /// settled front, or `None` once the trie advanced past it; optimistic
-    /// only under [`ReadPath::Fast`], like
-    /// [`range_agg_at_front`](WaitFreeTrie::range_agg_at_front).
-    pub fn collect_range_limited_at_front(
-        &self,
-        min: K,
-        max: K,
-        limit: usize,
-        front: Timestamp,
-    ) -> Option<Vec<(K, V)>> {
-        // ORDERING: SeqCst — the front guard must be ordered against the SeqCst
-        // watermark bumps in `exec::resolve_update`.
-        // wft-lint: allow(seqcst) -- anchoring a read at a front needs the guard in the single total order.
-        if self.resolved_ts.load(Ordering::SeqCst) != front.get() || !self.front_unchanged(front) {
-            return None;
-        }
-        if min > max || limit == 0 {
-            return Some(Vec::new());
-        }
-        if self.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for _ in 0..FAST_READ_ATTEMPTS {
-                if let Some((entries, early_exit)) =
-                    self.try_fast_collect_limited(min, max, limit, &guard)
-                {
-                    self.counters
-                        .fast_range_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    if early_exit {
-                        self.counters
-                            .fast_range_early_exits
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    return self.front_unchanged(front).then_some(entries);
-                }
-                self.counters
-                    .fast_range_retries
-                    .fetch_add(1, Ordering::Relaxed);
-                if !self.front_unchanged(front) {
-                    return None;
-                }
-            }
-            return None;
-        }
-        let entries = self.collect_range_limited(min, max, limit);
-        self.front_unchanged(front).then_some(entries)
-    }
-
-    /// All entries in key order. **Quiescent only.**
-    pub fn entries_quiescent(&self) -> Vec<(K, V)> {
-        let guard = crossbeam_epoch::pin();
-        let mut out = Vec::new();
-        // ORDERING: Acquire pairs with the AcqRel child-slot CASes in `exec`.
-        collect_subtrie(
-            self.root_child.load(Ordering::Acquire, &guard),
-            &mut out,
-            &guard,
-        );
-        out
-    }
-
-    /// Validates the structural invariants: coverage of every node contains
-    /// all leaf indices beneath it, every stored aggregate equals the
-    /// aggregate recomputed from the leaves, every descriptor queue is empty,
-    /// and the cached length matches the leaf count. **Quiescent only**;
-    /// panics on violation.
-    pub fn check_invariants(&self) {
-        let guard = crossbeam_epoch::pin();
-        // ORDERING: Acquire pairs with the AcqRel child-slot CASes in `exec`.
-        let root = self.root_child.load(Ordering::Acquire, &guard);
-        let n = check_node::<K, V, A>(root, Coverage::ROOT, &guard);
-        assert_eq!(
-            n,
-            self.len(),
-            "cached length diverged from the physical leaf count"
-        );
-    }
-}
-
-impl<K: TrieKey, V: Value> WaitFreeTrie<K, V, Size> {
-    /// Number of keys in `[min, max]` — the aggregate `count` query.
-    pub fn count(&self, min: K, max: K) -> u64 {
-        self.range_agg(min, max)
-    }
-}
-
-impl<K: TrieKey, V: Value, A: Augmentation<K, V>> Drop for WaitFreeTrie<K, V, A> {
-    fn drop(&mut self) {
-        // SAFETY: `drop` takes `&mut self`, so no other thread can reach the trie
-        // and no epoch guard is needed.
-        let root = self
-            .root_child
-            .load(Ordering::Relaxed, unsafe { crossbeam_epoch::unprotected() });
-        free_subtrie_now(root);
-    }
-}
-
-/// Recursive quiescent invariant checker; returns the number of leaves.
-fn check_node<K: TrieKey, V: Value, A: Augmentation<K, V>>(
-    node: crossbeam_epoch::Shared<'_, Node<K, V, A>>,
-    coverage: Coverage,
-    guard: &crossbeam_epoch::Guard,
-) -> u64 {
-    if node.is_null() {
-        return 0;
-    }
-    // SAFETY: quiescent walk under `guard`; nodes are retired only via
-    // `defer_destroy`, so the deref is valid.
-    match unsafe { node.deref() } {
-        Node::Empty(_) => 0,
-        Node::Leaf(leaf) => {
-            assert!(
-                coverage.contains(leaf.key.to_index()),
-                "leaf key {:?} outside its coverage {:?}",
-                leaf.key,
-                coverage
-            );
-            1
-        }
-        Node::Inner(inner) => {
-            assert_eq!(
-                inner.coverage, coverage,
-                "inner node coverage disagrees with its position"
-            );
-            assert!(
-                inner.queue.is_empty(guard),
-                "descriptor queue not empty in a quiescent trie"
-            );
-            // ORDERING: Acquire pairs with the AcqRel child-slot CASes in `exec`.
-            let nl = check_node::<K, V, A>(
-                inner.left.load(Ordering::Acquire, guard),
-                coverage.left(),
-                guard,
-            );
-            // ORDERING: as above.
-            let nr = check_node::<K, V, A>(
-                inner.right.load(Ordering::Acquire, guard),
-                coverage.right(),
-                guard,
-            );
-            let mut entries = Vec::new();
-            collect_subtrie(node, &mut entries, guard);
-            let expect = entries
-                .iter()
-                .fold(A::identity(), |acc, (k, v)| A::insert_delta(&acc, k, v));
-            assert_eq!(
-                &inner.load_state(guard).agg,
-                &expect,
-                "stored augmentation value is stale"
-            );
-            nl + nr
-        }
-    }
-}
+pub type WaitFreeTrie<K, V = (), A = Size> = WaitFreeTree<K, V, A, Bits>;
 
 #[cfg(test)]
 mod tests {
+    //! The trie's own behaviour, plus the test bodies it shares with the
+    //! BST: each generic body runs once per routing policy.
+
     use super::*;
+    use wft_api::{OpOutcome, StoreOp};
+    use wft_core::{
+        BatchApply, Bst, PointMap, RangeRead, RangeSpec, ReadPath, TreeConfig, UpdateOutcome,
+    };
 
     #[test]
     fn empty_trie_properties() {
@@ -747,34 +209,8 @@ mod tests {
     }
 
     #[test]
-    fn insert_or_replace_upserts_atomically() {
-        let trie: WaitFreeTrie<u64, u64> = WaitFreeTrie::new();
-        assert_eq!(trie.insert_or_replace(5, 50), None);
-        assert_eq!(trie.insert_or_replace(5, 51), Some(50));
-        assert_eq!(trie.len(), 1);
-        assert_eq!(trie.get(&5), Some(51));
-        assert_eq!(trie.stats().replaces, 2);
-        // Replacing keeps the size augmentation consistent.
-        assert_eq!(trie.count(0, 10), 1);
-        trie.check_invariants();
-    }
-
-    #[test]
-    fn from_entries_builds_working_trie() {
-        let trie: WaitFreeTrie<u64, u64> =
-            WaitFreeTrie::from_entries((0..1000u64).map(|k| (k, k * 2)));
-        assert_eq!(trie.len(), 1000);
-        assert_eq!(trie.get(&500), Some(1000));
-        assert!(!trie.insert(500, 0));
-        assert!(trie.remove(&500));
-        assert_eq!(trie.len(), 999);
-        assert_eq!(trie.count(0, 999), 999);
-        trie.check_invariants();
-    }
-
-    #[test]
     fn range_sum_augmentation() {
-        use wft_seq::Sum;
+        use wft_core::Sum;
         let trie: WaitFreeTrie<u64, u64, Sum> = WaitFreeTrie::new();
         for k in 1..=10u64 {
             trie.insert(k, k * 10);
@@ -787,37 +223,45 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_updates_and_len() {
+    fn adjacent_keys_build_long_chains_correctly() {
         let trie: WaitFreeTrie<u64> = WaitFreeTrie::new();
-        trie.insert(1, ());
-        trie.insert(1, ());
-        trie.insert(2, ());
-        trie.remove(&1);
-        trie.remove(&3);
-        let stats = trie.stats();
-        assert_eq!(stats.inserts, 2);
-        assert_eq!(stats.removes, 1);
-        assert_eq!(stats.failed_updates, 2);
-        assert_eq!(trie.len(), 1);
+        // Keys differing only in the lowest bits force the deepest chains.
+        for k in 0..64u64 {
+            assert!(trie.insert(k, ()));
+        }
+        assert_eq!(trie.count(0, 63), 64);
+        for k in 0..64u64 {
+            assert!(trie.contains(&k), "key {k}");
+        }
+        for k in (0..64u64).step_by(2) {
+            assert!(trie.remove(&k));
+        }
+        assert_eq!(trie.count(0, 63), 32);
+        trie.check_invariants();
     }
 
-    #[test]
-    fn both_read_paths_answer_identically() {
-        let entries: Vec<(u64, u64)> = (0..300u64).step_by(3).map(|k| (k, k * 10)).collect();
-        let fast: WaitFreeTrie<u64, u64> =
-            WaitFreeTrie::from_entries_with_read_path(entries.clone(), ReadPath::Fast);
-        let desc: WaitFreeTrie<u64, u64> =
-            WaitFreeTrie::from_entries_with_read_path(entries, ReadPath::Descriptor);
-        for trie in [&fast, &desc] {
-            trie.insert(1, 11);
-            trie.remove(&3);
-            trie.insert_or_replace(6, 60_000);
+    fn read_paths_agree<R: Routing<i64>>() {
+        let fast_cfg = TreeConfig::default();
+        let desc_cfg = TreeConfig {
+            read_path: ReadPath::Descriptor,
+            ..TreeConfig::default()
+        };
+        assert_eq!(fast_cfg.read_path, ReadPath::Fast, "fast is the default");
+        let entries: Vec<(i64, i64)> = (0..300).step_by(3).map(|k| (k, k * 10)).collect();
+        let fast: WaitFreeTree<i64, i64, Size, R> =
+            WaitFreeTree::from_entries_with_config(entries.clone(), fast_cfg);
+        let desc: WaitFreeTree<i64, i64, Size, R> =
+            WaitFreeTree::from_entries_with_config(entries, desc_cfg);
+        for tree in [&fast, &desc] {
+            tree.insert(1, 11);
+            tree.remove(&3);
+            tree.insert_or_replace(6, -60);
         }
-        for k in [0u64, 1, 2, 3, 6, 9, 298, 299, 500] {
+        for k in [-1, 0, 1, 2, 3, 6, 9, 298, 299, 500] {
             assert_eq!(fast.get(&k), desc.get(&k), "get({k})");
             assert_eq!(fast.contains(&k), desc.contains(&k), "contains({k})");
         }
-        for (min, max) in [(0u64, 299), (10, 50), (0, 4), (200, 600), (7, 7), (9, 3)] {
+        for (min, max) in [(0, 299), (10, 50), (-5, 4), (200, 600), (7, 7), (9, 3)] {
             assert_eq!(
                 fast.count(min, max),
                 desc.count(min, max),
@@ -838,40 +282,151 @@ mod tests {
     }
 
     #[test]
-    fn timestamp_front_tracks_updates() {
-        let trie: WaitFreeTrie<u64> = WaitFreeTrie::new();
-        let front = trie.settle_front();
-        assert!(trie.front_unchanged(front));
-        trie.insert(1, ());
-        assert!(!trie.front_unchanged(front), "updates advance the front");
-        let front = trie.settle_front();
-        trie.contains(&1);
-        trie.count(0, 10);
-        assert!(trie.front_unchanged(front), "reads never advance the front");
-        assert_eq!(trie.range_agg_at_front(0, 10, front), Some(1));
-        trie.remove(&1);
-        assert_eq!(trie.range_agg_at_front(0, 10, front), None, "front expired");
+    fn both_read_paths_answer_identically() {
+        read_paths_agree::<Bits>();
+    }
+
+    #[test]
+    fn both_read_paths_answer_identically_single_thread() {
+        read_paths_agree::<Bst>();
+    }
+
+    fn front_tracks_updates<R: Routing<i64>>() {
+        let tree: WaitFreeTree<i64, (), Size, R> = WaitFreeTree::new();
+        assert_eq!(tree.stable_ts(), Timestamp::ZERO);
+        let front = tree.settle_front();
+        assert!(tree.front_unchanged(front));
+
+        tree.insert(1, ());
+        assert!(!tree.front_unchanged(front), "an update advances the front");
+        // Failed updates linearize too (they occupy a timestamp).
+        let front = tree.settle_front();
+        tree.insert(1, ());
+        assert!(!tree.front_unchanged(front));
+        // Read-only operations never advance the front.
+        let front = tree.settle_front();
+        tree.contains(&1);
+        tree.count(0, 10);
+        tree.collect_range(0, 10);
+        assert!(tree.front_unchanged(front), "reads never advance the front");
+        assert_eq!(tree.stable_ts(), tree.advertised_ts());
+        assert_eq!(tree.range_agg_at_front(0, 10, front), Some(1));
+        tree.remove(&1);
+        assert_eq!(tree.range_agg_at_front(0, 10, front), None, "front expired");
         assert_eq!(
-            trie.collect_range_at_front(0, 10, trie.settle_front()),
+            tree.collect_range_at_front(0, 10, tree.settle_front()),
             Some(vec![])
         );
     }
 
     #[test]
-    fn adjacent_keys_build_long_chains_correctly() {
-        let trie: WaitFreeTrie<u64> = WaitFreeTrie::new();
-        // Keys differing only in the lowest bits force the deepest chains.
-        for k in 0..64u64 {
-            assert!(trie.insert(k, ()));
-        }
-        assert_eq!(trie.count(0, 63), 64);
-        for k in 0..64u64 {
-            assert!(trie.contains(&k), "key {k}");
-        }
-        for k in (0..64u64).step_by(2) {
-            assert!(trie.remove(&k));
-        }
-        assert_eq!(trie.count(0, 63), 32);
-        trie.check_invariants();
+    fn timestamp_front_tracks_updates() {
+        front_tracks_updates::<Bits>();
+    }
+
+    #[test]
+    fn timestamp_front_tracks_updates_in_the_bst() {
+        front_tracks_updates::<Bst>();
+    }
+
+    fn upserts_are_single_updates<R: Routing<i64>>() {
+        let tree: WaitFreeTree<i64, String, Size, R> = WaitFreeTree::new();
+        assert_eq!(tree.insert_or_replace(1, "one".into()), None);
+        assert_eq!(tree.len(), 1);
+        assert_eq!(
+            tree.insert_or_replace(1, "uno".into()),
+            Some("one".to_string())
+        );
+        assert_eq!(tree.len(), 1, "an overwrite must not change the length");
+        assert_eq!(tree.get(&1), Some("uno".to_string()));
+        // Replacing keeps the size augmentation consistent.
+        assert_eq!(tree.range_agg(0, 10), 1);
+        assert_eq!(tree.remove_entry(&1), Some("uno".to_string()));
+        assert_eq!(tree.insert_or_replace(1, "ein".into()), None);
+        assert_eq!(tree.stats().replaces, 3);
+        tree.check_invariants();
+    }
+
+    #[test]
+    fn insert_or_replace_upserts_atomically() {
+        upserts_are_single_updates::<Bits>();
+    }
+
+    #[test]
+    fn insert_or_replace_single_thread() {
+        upserts_are_single_updates::<Bst>();
+    }
+
+    fn bulk_build_works<R: Routing<i64>>() {
+        let tree: WaitFreeTree<i64, i64, Size, R> =
+            WaitFreeTree::from_entries((0..1000).map(|k| (k, k * 2)));
+        assert_eq!(tree.len(), 1000);
+        assert_eq!(tree.get(&500), Some(1000));
+        assert!(!tree.insert(500, 0), "prefilled keys are present");
+        assert!(tree.remove(&500));
+        assert_eq!(tree.len(), 999);
+        assert_eq!(tree.count(0, 999), 999);
+        tree.check_invariants();
+    }
+
+    #[test]
+    fn from_entries_builds_working_trie() {
+        bulk_build_works::<Bits>();
+    }
+
+    #[test]
+    fn from_entries_builds_working_tree() {
+        bulk_build_works::<Bst>();
+    }
+
+    fn stats_count_updates<R: Routing<i64>>() {
+        let tree: WaitFreeTree<i64, (), Size, R> = WaitFreeTree::new();
+        tree.insert(1, ());
+        tree.insert(1, ());
+        tree.insert(2, ());
+        tree.remove(&1);
+        tree.remove(&3);
+        let stats = tree.stats();
+        assert_eq!(stats.inserts, 2);
+        assert_eq!(stats.removes, 1);
+        assert_eq!(stats.failed_updates, 2);
+        assert_eq!(tree.len(), 1);
+    }
+
+    #[test]
+    fn stats_track_updates_and_len() {
+        stats_count_updates::<Bits>();
+    }
+
+    #[test]
+    fn stats_track_updates() {
+        stats_count_updates::<Bst>();
+    }
+
+    #[test]
+    fn trait_surface_matches_inherent_semantics() {
+        let trie: WaitFreeTrie<u64, u64> = WaitFreeTrie::new();
+        assert!(PointMap::insert(&trie, 1, 10).is_applied());
+        assert_eq!(
+            PointMap::replace(&trie, 1, 11),
+            UpdateOutcome::Applied { prior: Some(10) }
+        );
+        assert_eq!(RangeRead::count(&trie, RangeSpec::all()), 1);
+        assert_eq!(RangeRead::count(&trie, RangeSpec::inclusive(9, 3)), 0);
+        let outcomes = trie
+            .apply_batch(vec![StoreOp::InsertOrReplace { key: 1, value: 12 }])
+            .unwrap();
+        assert_eq!(outcomes, vec![OpOutcome::Replaced(Some(11))]);
+    }
+
+    #[test]
+    fn metrics_carry_the_trie_prefix() {
+        use wft_obs::MetricsSource;
+        let trie: WaitFreeTrie<u64> = WaitFreeTrie::from_entries([(1, ()), (2, ())]);
+        let mut snapshot = wft_obs::MetricsSnapshot::default();
+        trie.collect_metrics(&mut snapshot);
+        assert_eq!(snapshot.gauge("trie_len"), Some(2));
+        assert_eq!(snapshot.counter("trie_inserts"), Some(0));
+        assert_eq!(snapshot.counter("tree_inserts"), None);
     }
 }

@@ -332,10 +332,13 @@ impl TreeImpl {
                 };
                 Arc::new(WaitFreeTree::<i64>::from_entries_with_config(pairs, config))
             }
-            TreeImpl::TrieDescReads => Arc::new(WaitFreeTrie::<i64>::from_entries_with_read_path(
-                pairs,
-                ReadPath::Descriptor,
-            )),
+            TreeImpl::TrieDescReads => {
+                let config = TreeConfig {
+                    read_path: ReadPath::Descriptor,
+                    ..TreeConfig::default()
+                };
+                Arc::new(WaitFreeTrie::<i64>::from_entries_with_config(pairs, config))
+            }
             TreeImpl::ShardedDescReads => {
                 let config = StoreConfig {
                     tree: TreeConfig {

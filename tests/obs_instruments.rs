@@ -8,7 +8,7 @@
 //!   overestimate by at most one bucket width (≤ 25 %) above it;
 //! * counters are monotonic under concurrent increments and their
 //!   snapshot/delta arithmetic is exact (the bench binaries' per-window
-//!   metrics depend on this);
+//!   metrics depend on this), while windows carry gauges as levels;
 //! * a multi-threaded recorder run shows the sharded cells lose nothing:
 //!   concurrent `inc`/`record` sums come out exactly, not approximately;
 //! * the [`TraceRing`] keeps exactly the most recent `capacity` events
@@ -123,11 +123,34 @@ fn counter_is_monotonic_and_deltas_are_exact() {
     let delta = after.delta_since(&before);
     assert_eq!(delta.counter("x"), Some(4));
     assert_eq!(delta.counter("y"), Some(3), "new metrics count from zero");
-    assert_eq!(delta.gauge("depth"), Some(-3), "gauges subtract signed");
+    assert_eq!(
+        delta.gauge("depth"),
+        Some(4),
+        "gauges report the later level"
+    );
 
     // Counter deltas saturate rather than wrap if a process restart ever
     // hands delta_since a fresher "earlier".
     assert_eq!(before.delta_since(&after).counter("x"), Some(0));
+}
+
+/// Gauges are levels: a metrics window over a sharded store reports its
+/// shard count, not the (zero) change in it.
+#[test]
+fn windows_report_gauge_levels() {
+    use wait_free_range_trees::obs::MetricsSource;
+    use wait_free_range_trees::prelude::PointMap;
+    use wait_free_range_trees::ShardedStore;
+
+    let store: ShardedStore<i64> = ShardedStore::from_entries((0..100).map(|k| (k, ())), 4);
+    let mut before = MetricsSnapshot::new();
+    store.collect_metrics(&mut before);
+    PointMap::insert(&store, 1_000, ());
+    let mut after = MetricsSnapshot::new();
+    store.collect_metrics(&mut after);
+    let window = after.delta_since(&before);
+    assert_eq!(window.gauge("store_shards"), Some(4));
+    assert_eq!(window.gauge("store_len"), Some(101));
 }
 
 #[test]
